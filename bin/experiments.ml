@@ -6,13 +6,7 @@
 
 open Cmdliner
 
-let run backend quick jobs ids =
-  match Tbwf_sim.Backend.of_string backend with
-  | Error msg ->
-    Fmt.epr "%s@." msg;
-    exit 2
-  | Ok backend ->
-  Tbwf_experiments.Scenario.set_default_backend backend;
+let run quick jobs ids =
   let fmt = Fmt.stdout in
   let entries =
     match ids with
@@ -30,9 +24,12 @@ let run backend quick jobs ids =
       (function Ok e -> Either.Left e | Error id -> Either.Right id)
       entries
   in
-  List.iter
-    (fun id -> Fmt.epr "unknown experiment %S (known: E1..E18)@." id)
-    unknown;
+  if unknown <> [] then begin
+    List.iter
+      (fun id -> Fmt.epr "unknown experiment %S (known: E1..E18)@." id)
+      unknown;
+    exit 2
+  end;
   let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
   let results =
     Tbwf_parallel.Pool.map pool (Array.of_list known) (fun entry ->
@@ -60,13 +57,6 @@ let quick =
   let doc = "Run smaller configurations (seconds instead of minutes)." in
   Arg.(value & flag & info [ "quick"; "q" ] ~doc)
 
-let backend =
-  let doc =
-    "Execution backend for every scenario-built stack: reference or \
-     compiled. Tables are byte-identical either way."
-  in
-  Arg.(value & opt string "reference" & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
 let jobs =
   let doc =
     "Domains to fan experiments out over (stdout is byte-identical for \
@@ -82,6 +72,6 @@ let ids =
 let cmd =
   let doc = "regenerate the TBWF evaluation tables" in
   let info = Cmd.info "experiments" ~doc in
-  Cmd.v info Term.(const run $ backend $ quick $ jobs $ ids)
+  Cmd.v info Term.(const run $ quick $ jobs $ ids)
 
 let () = exit (Cmd.eval cmd)

@@ -49,13 +49,6 @@ let report_outcome o =
   Fmt.flush fmt ();
   if o.Campaign.o_ok then 0 else 1
 
-let with_backend name k =
-  match Tbwf_sim.Backend.of_string name with
-  | Ok backend -> k backend
-  | Error msg ->
-    Fmt.epr "%s@." msg;
-    2
-
 let with_substrate name k =
   match name with
   | "shared-memory" -> k Tbwf_system.System.Shared_memory
@@ -65,31 +58,17 @@ let with_substrate name k =
     Fmt.epr "unknown substrate %S (known: shared-memory, message-passing)@." s;
     2
 
-(* Both knobs exist on every subcommand, but the one combination with no
-   implementation — compiled machines have no quorum emulation — is
-   rejected up front with the same story System.build would tell. *)
-let with_backend_substrate backend substrate k =
-  with_backend backend @@ fun backend ->
+let run_campaign substrate name full seed jobs =
   with_substrate substrate @@ fun substrate ->
-  match backend, substrate with
-  | Tbwf_sim.Backend.Compiled, Tbwf_system.System.Message_passing _ ->
-    Fmt.epr
-      "the compiled backend requires the shared-memory substrate (use \
-       --backend reference with --substrate message-passing)@.";
-    2
-  | _, _ -> k backend substrate
-
-let run_campaign backend substrate name full seed jobs =
-  with_backend_substrate backend substrate @@ fun backend substrate ->
   with_campaign name @@ fun c ->
   report_outcome
-    (Campaign.run ~backend ~substrate ~quick:(not full)
+    (Campaign.run ~substrate ~quick:(not full)
        ~seed:(Int64.of_int seed) ~pool:(pool_of jobs) c)
 
-let matrix backend substrate full seed jobs =
-  with_backend_substrate backend substrate @@ fun backend substrate ->
+let matrix substrate full seed jobs =
+  with_substrate substrate @@ fun substrate ->
   let m =
-    Campaign.run_matrix ~backend ~substrate ~pool:(pool_of jobs)
+    Campaign.run_matrix ~substrate ~pool:(pool_of jobs)
       ~quick:(not full) ~seed:(Int64.of_int seed) ()
   in
   (* Self-describing dimensions header: the substrate cost factor scales
@@ -245,18 +224,12 @@ let seed_arg =
        & info [ "seed" ] ~docv:"SEED"
            ~doc:"Runtime seed (campaigns are deterministic per seed).")
 
-let backend_arg =
-  Arg.(value & opt string "reference"
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Execution backend: reference or compiled. Verdicts, \
-                 matrices and telemetry are byte-identical either way.")
-
 let substrate_arg =
   Arg.(value & opt string "shared-memory"
        & info [ "substrate" ] ~docv:"SUBSTRATE"
            ~doc:"Register substrate: shared-memory, or message-passing \
-                 (ABD-style quorum emulation over the simulated network; \
-                 reference backend only).")
+                 (ABD-style quorum emulation over the simulated \
+                 network).")
 
 let jobs_arg =
   Arg.(value & opt int (Tbwf_parallel.Pool.default_domains ())
@@ -282,7 +255,7 @@ let run_cmd =
        ~doc:"run one campaign against every system; exit 0 iff every \
              verdict matches the campaign's prediction")
     Term.(
-      const run_campaign $ backend_arg $ substrate_arg $ campaign_arg
+      const run_campaign $ substrate_arg $ campaign_arg
       $ full_arg $ seed_arg $ jobs_arg)
 
 let matrix_cmd =
@@ -291,7 +264,7 @@ let matrix_cmd =
        ~doc:"run the whole catalogue and print the campaign × system \
              degradation matrix")
     Term.(
-      const matrix $ backend_arg $ substrate_arg $ full_arg $ seed_arg
+      const matrix $ substrate_arg $ full_arg $ seed_arg
       $ jobs_arg)
 
 let fuzz_cmd =

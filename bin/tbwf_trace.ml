@@ -51,11 +51,11 @@ let emit_stream record =
   print_string (Json.to_string record);
   print_newline ()
 
-let run_scenario ~backend ~substrate ~n ~k ~steps ~seed ~window ~stream_every
+let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every
     =
   let timely = List.init k (fun i -> n - 1 - i) in
   let stack =
-    Tbwf_system.System.build ~backend ~substrate ~seed ~telemetry:true
+    Tbwf_system.System.build ~substrate ~seed ~telemetry:true
       ~telemetry_window:window ~n Tbwf_system.System.Tbwf_atomic
   in
   let rt = stack.Tbwf_system.System.rt in
@@ -102,7 +102,7 @@ let run_scenario ~backend ~substrate ~n ~k ~steps ~seed ~window ~stream_every
     verdict = None;
   }
 
-let run_plan_file ~backend ~substrate ~path ~system ~seed ~stream_every =
+let run_plan_file ~substrate ~path ~system ~seed ~stream_every =
   match Fault_plan.of_string (read_file path) with
   | Error msg -> Error (Fmt.str "bad plan file %s: %s" path msg)
   | Ok plan ->
@@ -110,7 +110,7 @@ let run_plan_file ~backend ~substrate ~path ~system ~seed ~stream_every =
       Option.map (fun every -> every, emit_stream) stream_every
     in
     let r =
-      Campaign.run_plan ~backend ~substrate ~seed ?stream ~plan ~system ()
+      Campaign.run_plan ~substrate ~seed ?stream ~plan ~system ()
     in
     let v = r.Campaign.rr_verdict in
     Ok
@@ -142,19 +142,10 @@ let substrate_of_name = function
       (Fmt.str "unknown substrate %S (known: shared-memory, message-passing)"
          s)
 
-let resolve ?stream_every ~backend ~substrate ~plan ~system ~full ~n ~k ~steps
+let resolve ?stream_every ~substrate ~plan ~system ~full ~n ~k ~steps
     ~seed ~window () =
-  match Tbwf_sim.Backend.of_string backend with
-  | Error msg -> Error msg
-  | Ok backend -> (
   match substrate_of_name substrate with
   | Error msg -> Error msg
-  | Ok substrate when
-      backend = Tbwf_sim.Backend.Compiled
-      && substrate <> Tbwf_system.System.Shared_memory ->
-    Error
-      "the compiled backend requires the shared-memory substrate (use \
-       --backend reference with --substrate message-passing)"
   | Ok substrate -> (
   match plan with
   | Some path -> (
@@ -166,7 +157,7 @@ let resolve ?stream_every ~backend ~substrate ~plan ~system ~full ~n ~k ~steps
         | Some s -> Int64.of_int s
         | None -> Campaign.default_seed
       in
-      run_plan_file ~backend ~substrate ~path ~system ~seed ~stream_every)
+      run_plan_file ~substrate ~path ~system ~seed ~stream_every)
   | None ->
     let n = Option.value n ~default:(if full then 8 else 4) in
     let k = Option.value k ~default:n in
@@ -181,14 +172,14 @@ let resolve ?stream_every ~backend ~substrate ~plan ~system ~full ~n ~k ~steps
         | None -> Int64.of_int (1000 + k)
       in
       Ok
-        (run_scenario ~backend ~substrate ~n ~k ~steps ~seed ~window
+        (run_scenario ~substrate ~n ~k ~steps ~seed ~window
            ~stream_every)
-    end))
+    end)
 
-let with_run ?stream_every ~backend ~substrate ~plan ~system ~full ~n ~k
+let with_run ?stream_every ~substrate ~plan ~system ~full ~n ~k
     ~steps ~seed ~window f =
   match
-    resolve ?stream_every ~backend ~substrate ~plan ~system ~full ~n ~k ~steps
+    resolve ?stream_every ~substrate ~plan ~system ~full ~n ~k ~steps
       ~seed ~window ()
   with
   | Error msg ->
@@ -198,9 +189,9 @@ let with_run ?stream_every ~backend ~substrate ~plan ~system ~full ~n ~k
 
 (* --- subcommands ---------------------------------------------------------- *)
 
-let run_cmd_impl backend substrate plan system full n k steps seed window
+let run_cmd_impl substrate plan system full n k steps seed window
     width =
-  with_run ~backend ~substrate ~plan ~system ~full ~n ~k ~steps ~seed ~window
+  with_run ~substrate ~plan ~system ~full ~n ~k ~steps ~seed ~window
   @@ fun run ->
   Fmt.pf fmt "%s@." run.describe;
   Option.iter (Fmt.pf fmt "%s@.") run.verdict;
@@ -209,9 +200,9 @@ let run_cmd_impl backend substrate plan system full n k steps seed window
   Fmt.flush fmt ();
   0
 
-let timeline_cmd_impl backend substrate plan system full n k steps seed
+let timeline_cmd_impl substrate plan system full n k steps seed
     window width =
-  with_run ~backend ~substrate ~plan ~system ~full ~n ~k ~steps ~seed ~window
+  with_run ~substrate ~plan ~system ~full ~n ~k ~steps ~seed ~window
   @@ fun run ->
   Fmt.pf fmt "%s@.@.%a" run.describe Timeline.pp
     (Timeline.build ~width run.telemetry);
@@ -241,7 +232,7 @@ let schema_check ~label ~path actual =
     1
   end
 
-let export_cmd_impl backend substrate plan system full n k steps seed window
+let export_cmd_impl substrate plan system full n k steps seed window
     stream_every pretty out check_schema write_schema check_stream_schema
     write_stream_schema =
   match stream_every with
@@ -253,7 +244,7 @@ let export_cmd_impl backend substrate plan system full n k steps seed window
       "--check-stream-schema/--write-stream-schema require --stream-every@.";
     2
   | _ ->
-  with_run ?stream_every ~backend ~substrate ~plan ~system ~full ~n ~k ~steps
+  with_run ?stream_every ~substrate ~plan ~system ~full ~n ~k ~steps
     ~seed ~window
   @@ fun run ->
   let snapshot = Collector.snapshot run.telemetry in
@@ -345,19 +336,12 @@ let seed_arg =
            ~doc:"Runtime seed. Default: E1's per-k seed (1000+k) in \
                  scenario mode, the nemesis default in plan mode.")
 
-let backend_arg =
-  Arg.(value & opt string "reference"
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Execution backend: reference (effects runtime) or \
-                 compiled (flattened step machines). Observable output \
-                 is byte-identical either way.")
-
 let substrate_arg =
   Arg.(value & opt string "shared-memory"
        & info [ "substrate" ] ~docv:"SUBSTRATE"
            ~doc:"Register substrate: shared-memory, or message-passing \
-                 (ABD-style quorum emulation over the simulated network; \
-                 reference backend only).")
+                 (ABD-style quorum emulation over the simulated \
+                 network).")
 
 let window_arg =
   Arg.(value & opt int 1024
@@ -371,9 +355,9 @@ let width_arg =
 let common f =
   Term.(
     const
-      (fun backend substrate plan system full _quick n k steps seed window ->
-        f ~backend ~substrate ~plan ~system ~full ~n ~k ~steps ~seed ~window)
-    $ backend_arg $ substrate_arg $ plan_arg $ system_arg $ full_arg
+      (fun substrate plan system full _quick n k steps seed window ->
+        f ~substrate ~plan ~system ~full ~n ~k ~steps ~seed ~window)
+    $ substrate_arg $ plan_arg $ system_arg $ full_arg
     $ quick_arg $ n_arg $ k_arg $ steps_arg $ seed_arg $ window_arg)
 
 let run_cmd =
@@ -383,9 +367,9 @@ let run_cmd =
              the progress/leader timeline")
     Term.(
       common
-        (fun ~backend ~substrate ~plan ~system ~full ~n ~k ~steps ~seed
+        (fun ~substrate ~plan ~system ~full ~n ~k ~steps ~seed
              ~window width ->
-          run_cmd_impl backend substrate plan system full n k steps seed
+          run_cmd_impl substrate plan system full n k steps seed
             window width)
       $ width_arg)
 
@@ -396,9 +380,9 @@ let timeline_cmd =
              timeline")
     Term.(
       common
-        (fun ~backend ~substrate ~plan ~system ~full ~n ~k ~steps ~seed
+        (fun ~substrate ~plan ~system ~full ~n ~k ~steps ~seed
              ~window width ->
-          timeline_cmd_impl backend substrate plan system full n k steps
+          timeline_cmd_impl substrate plan system full n k steps
             seed window width)
       $ width_arg)
 
@@ -453,10 +437,10 @@ let export_cmd =
              telemetry snapshot")
     Term.(
       common
-        (fun ~backend ~substrate ~plan ~system ~full ~n ~k ~steps ~seed
+        (fun ~substrate ~plan ~system ~full ~n ~k ~steps ~seed
              ~window stream_every pretty out check_schema write_schema
              check_stream_schema write_stream_schema ->
-          export_cmd_impl backend substrate plan system full n k steps seed
+          export_cmd_impl substrate plan system full n k steps seed
             window stream_every pretty out check_schema write_schema
             check_stream_schema write_stream_schema)
       $ stream_every $ pretty $ out $ check_schema $ write_schema

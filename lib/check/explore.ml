@@ -450,7 +450,7 @@ let fuzz ?(seed = 0x5EED5EEDL) ?(runs = 1_000) ?pool ~max_steps ~scenario
   | None ->
     (* Budget exhausted without a witness: record the batch that was in
        flight (the last one, by the in-order selection contract) and its
-       derived stream seed, so a longer or cross-backend re-run can pick
+       derived stream seed, so a longer re-run can pick
        up the search from exactly this stream instead of restarting the
        whole partition blind. *)
     let exhausted_batch =

@@ -108,9 +108,8 @@ type fuzz_outcome = {
       (** [Some (k, task_seed)] iff the run budget was exhausted without a
           witness: the index of the batch in flight when the budget ran
           out and its {!Tbwf_sim.Rng.task_seed}-derived stream seed. A
-          partial outcome is thereby replayable — a follow-up fuzz (same
-          or other execution backend) can resume from exactly that
-          stream. [None] when a counterexample was found. *)
+          partial outcome is thereby replayable — a follow-up fuzz can
+          resume from exactly that stream. [None] when a counterexample was found. *)
 }
 
 val fuzz_batch_runs : int

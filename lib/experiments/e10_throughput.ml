@@ -3,9 +3,7 @@ open Tbwf_registers
 open Tbwf_core
 open Tbwf_objects
 
-(* Every layer below runs a fixed seed derived from [base_seed]; BENCH
-   json files record it so a committed trajectory states which runs it
-   timed. *)
+(* Every layer below runs a fixed seed derived from [base_seed]. *)
 let base_seed = 101L
 
 let scheduler_steps steps () =
@@ -70,13 +68,9 @@ let qa_object_ops steps () =
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps;
   Runtime.stop rt
 
-(* The reference/compiled pair below runs the identical stack (same seed,
-   same wiring, byte-identical trace) on both execution backends; their
-   steps/sec ratio is the compiled backend's speedup and is reported as
-   [backend_speedup] in the --json output. *)
-let full_tbwf ~backend steps () =
+let full_tbwf_ops steps () =
   let stack =
-    Scenario.build ~backend ~seed:(Int64.add base_seed 4L) ~n:4
+    Scenario.build ~seed:(Int64.add base_seed 4L) ~n:4
       ~omega:Scenario.Omega_atomic ~spec:Counter.spec
       ~next_op:(Workload.forever Counter.inc)
       ~client_pids:[ 0; 1; 2; 3 ] ()
@@ -84,13 +78,9 @@ let full_tbwf ~backend steps () =
   Runtime.run stack.Scenario.rt ~policy:(Policy.round_robin ()) ~steps;
   Runtime.stop stack.Scenario.rt
 
-let full_tbwf_ops steps () = full_tbwf ~backend:Backend.Reference steps ()
-let full_tbwf_ops_compiled steps () = full_tbwf ~backend:Backend.Compiled steps ()
-
 (* The same client workload with the Ω∆'s registers emulated over the
    simulated network (ABD quorums against 3 replica server pids); the
-   ratio against [full_tbwf_ops] is the substrate overhead reported as
-   [substrate_overhead] in the --json output. *)
+   ratio against [full_tbwf_ops] is the substrate overhead. *)
 let full_tbwf_ops_mp steps () =
   let stack =
     Tbwf_system.System.build
@@ -124,8 +114,8 @@ let full_tbwf_ops_telemetry steps () =
 (* The full streaming configuration tbwf_soak runs: collector plus the
    windowed tail-rate monitor plus the online degradation checker in one
    sink tee, with a v2 record emitted (and dropped) every 2 500 steps.
-   The ratio against [full_tbwf_ops] is [streaming_overhead] in the
-   --json output — the cost of watching a run while it executes. *)
+   The ratio against [full_tbwf_ops] is the cost of watching a run while
+   it executes. *)
 let full_tbwf_ops_streaming steps () =
   let n = 4 in
   let stack =
@@ -173,13 +163,10 @@ let layers =
     "abortable register (always-abort)", abortable_register_ops;
     "query-abortable object", qa_object_ops;
     "full TBWF op (election + QA)", full_tbwf_ops;
-    "full TBWF op (compiled backend)", full_tbwf_ops_compiled;
     "full TBWF op (message-passing substrate)", full_tbwf_ops_mp;
     "full TBWF op + live telemetry", full_tbwf_ops_telemetry;
     "full TBWF op + streaming telemetry", full_tbwf_ops_streaming;
   ]
-
-let runners = List.map (fun (label, f) -> label, f 20_000) layers
 
 type row = { layer : string; steps : int; seconds : float; steps_per_sec : float }
 

@@ -3,17 +3,9 @@
     Micro-workloads exercising each layer: raw scheduler steps, atomic
     register operations, abortable register operations, query-abortable
     object operations, and a full TBWF operation including leader election.
-    [runners] exposes them as thunks for the bechamel harness in
-    [bench/main.ml]; [compute]/[report] give a coarse self-timed table for
-    the experiments binary. *)
-
-val base_seed : int64
-(** Every layer's runtime seed derives from this constant; BENCH json
-    files record it as run provenance. *)
-
-val runners : (string * (unit -> unit)) list
-(** Each thunk builds a small scenario and runs a fixed number of steps;
-    label describes the layer exercised. *)
+    [compute]/[report] give a coarse self-timed table for the experiments
+    binary; [benchmark/run.sh] measures the same layers with repeats and
+    spread. *)
 
 type row = { layer : string; steps : int; seconds : float; steps_per_sec : float }
 

@@ -24,13 +24,7 @@ type stack = {
 (* All wiring lives in the System layer; a scenario is a System stack
    narrowed to the boosted systems (so [tbwf] is total). *)
 
-(* The experiment registry's entries don't take a backend parameter, so
-   the experiments CLI selects one globally instead. Per-call [?backend]
-   still wins when given. *)
-let default_backend = ref Backend.Reference
-let set_default_backend b = default_backend := b
-
-let build ?backend ?(seed = 0xC0FFEEL)
+let build ?(seed = 0xC0FFEEL)
     ?(canonical = true) ?(qa_universal = false)
     ?(qa_policy = Abort_policy.Always) ~n ~omega ~spec ~next_op ~client_pids
     () =
@@ -43,9 +37,8 @@ let build ?backend ?(seed = 0xC0FFEEL)
         policy )
     | Omega_naive -> Tbwf_system.System.Naive_booster, Abort_policy.Always
   in
-  let backend = Option.value backend ~default:!default_backend in
   let s =
-    Tbwf_system.System.build ~backend ~seed ~canonical ~qa_universal
+    Tbwf_system.System.build ~seed ~canonical ~qa_universal
       ~qa_policy ~mesh_policy ~spec ~next_op ~client_pids ~n id
   in
   {

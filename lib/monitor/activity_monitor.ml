@@ -96,7 +96,7 @@ let monitoring_loop ~adapt ~increment_guards rt t =
     done
   done
 
-let make ?factory rt ~p ~q =
+let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
   if p = q then invalid_arg "Activity_monitor.install: p = q";
   let factory =
     match factory with Some f -> f | None -> Reg.shared_factory rt
@@ -107,22 +107,19 @@ let make ?factory rt ~p ~q =
       ~name:(Fmt.str "Hb[%d->%d]" q p)
       ~codec:Codec.int ~init:(-1)
   in
-  {
-    p;
-    q;
-    monitoring = ref false;
-    active_for = ref false;
-    status = ref Unknown;
-    fault_cntr = ref 0;
-    hb;
-  }
-
-let task_names t =
-  Fmt.str "amon-hb[%d->%d]" t.q t.p, Fmt.str "amon-watch[%d<-%d]" t.p t.q
-
-let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
-  let t = make ?factory rt ~p ~q in
-  let hb_name, watch_name = task_names t in
+  let t =
+    {
+      p;
+      q;
+      monitoring = ref false;
+      active_for = ref false;
+      status = ref Unknown;
+      fault_cntr = ref 0;
+      hb;
+    }
+  in
+  let hb_name = Fmt.str "amon-hb[%d->%d]" q p in
+  let watch_name = Fmt.str "amon-watch[%d<-%d]" p q in
   Runtime.spawn ~layer:Sink.Monitor rt ~pid:q ~name:hb_name (fun () ->
       monitored_loop t);
   Runtime.spawn ~layer:Sink.Monitor rt ~pid:p ~name:watch_name (fun () ->

@@ -63,30 +63,6 @@ val install :
     inactive process is suspected forever, violating Definition 9
     properties 5(b)–(c). *)
 
-(** {2 Compiled-backend hooks}
-
-    The compiled backend ([Tbwf_compiled]) creates the same monitor state
-    and register via {!make} but spawns machine-compiled loops instead of
-    the effect-based ones — the creation point is shared so both backends
-    assign identical object ids. *)
-
-val make :
-  ?factory:Tbwf_registers.Reg.factory -> Tbwf_sim.Runtime.t -> p:int -> q:int -> t
-(** Create the monitor's register and state {e without} spawning its two
-    loops. Requires [p <> q]. [factory] selects the register substrate
-    (default: {!Tbwf_registers.Reg.shared_factory}). *)
-
-val task_names : t -> string * string
-(** The (monitored-loop, monitoring-loop) task names {!install} uses, so
-    the compiled spawns are labelled identically. *)
-
-val set_status : Tbwf_sim.Runtime.t -> t -> status -> unit
-(** Set the monitor's status estimate, emitting a telemetry
-    {!Tbwf_sim.Sink.Suspicion_flip} signal when the Active/Inactive
-    verdict actually flips. Both backends' monitoring loops route status
-    assignments through this (except the silent reset to [Unknown] at the
-    top of the outer loop). *)
-
 (** {2 Ground-truth property checking — Definition 9}
 
     Experiments sample the outputs between run segments; these helpers

@@ -87,7 +87,7 @@ let align_substrate ?substrate plan =
     in
     System.Message_passing config, plan
 
-let run_plan ?backend ?substrate ?(seed = default_seed) ?min_ops ?stream
+let run_plan ?substrate ?(seed = default_seed) ?min_ops ?stream
     ~plan ~system () =
   let substrate, plan = align_substrate ?substrate plan in
   let n = Fault_plan.n plan in
@@ -105,7 +105,7 @@ let run_plan ?backend ?substrate ?(seed = default_seed) ?min_ops ?stream
   in
   let start = Unix.gettimeofday () in
   let stack =
-    System.build ?backend ~substrate ~seed ~qa_policy ~mesh_policy
+    System.build ~substrate ~seed ~qa_policy ~mesh_policy
       ~telemetry:true ~n system
   in
   let rt = stack.System.rt in
@@ -501,7 +501,7 @@ let map_cells ?pool f cells =
     Tbwf_parallel.Pool.map pool (Array.of_list cells) f |> Array.to_list
   | _ -> List.map f cells
 
-let run ?backend ?substrate ?(quick = true) ?seed ?pool
+let run ?substrate ?(quick = true) ?seed ?pool
     ?(systems = all_systems) campaign =
   let n, horizon = substrate_dimensions ?substrate ~quick () in
   let plan = campaign.c_plan ~n ~horizon in
@@ -509,7 +509,7 @@ let run ?backend ?substrate ?(quick = true) ?seed ?pool
     map_cells ?pool
       (fun system ->
         row_of_result campaign system
-          (run_plan ?backend ?substrate ?seed ~plan ~system ()))
+          (run_plan ?substrate ?seed ~plan ~system ()))
       systems
   in
   {
@@ -527,7 +527,7 @@ type matrix = {
   m_telemetry : Tbwf_telemetry.Collector.t;
 }
 
-let run_matrix ?backend ?substrate ?pool ?(quick = true) ?seed
+let run_matrix ?substrate ?pool ?(quick = true) ?seed
     ?(systems = all_systems) () =
   let n, horizon = substrate_dimensions ?substrate ~quick () in
   if systems = [] then invalid_arg "Campaign.run_matrix: no systems";
@@ -555,7 +555,7 @@ let run_matrix ?backend ?substrate ?pool ?(quick = true) ?seed
   let results =
     map_cells ?pool
       (fun (_, plan, system) ->
-        run_plan ?backend ?substrate ?seed ~plan ~system ())
+        run_plan ?substrate ?seed ~plan ~system ())
       cells
   in
   let rows =

@@ -68,7 +68,6 @@ val required_tail_ops : n:int -> tail:int -> int
     {!Tbwf_check.Degradation.tail_rate_denominator} doc comment. *)
 
 val run_plan :
-  ?backend:Tbwf_sim.Backend.t ->
   ?substrate:Tbwf_system.System.substrate ->
   ?seed:int64 ->
   ?min_ops:int ->
@@ -81,9 +80,7 @@ val run_plan :
     one counter client per process, install the plan's crashes, run under
     the plan's policy to the horizon, and check degradation over the tail
     (the last quarter of the horizon, or from the plan's settle step if
-    that is later). [backend] selects the execution backend for the
-    stack (default reference); verdicts and telemetry are identical
-    either way.
+    that is later).
 
     [substrate] (default shared memory) selects what the Ω∆'s registers
     are made of. On a message-passing substrate the plan's network atoms
@@ -99,8 +96,7 @@ val run_plan :
     ["verdict"]; the final partial window is flushed before the runtime
     stops. Raises
     [Invalid_argument] for a plan with replica/network atoms on shared
-    memory, and (via {!Tbwf_system.System.build}) for message passing on
-    the compiled backend. *)
+    memory. *)
 
 (** {2 The campaign catalogue} *)
 
@@ -166,7 +162,6 @@ type outcome = {
 }
 
 val run :
-  ?backend:Tbwf_sim.Backend.t ->
   ?substrate:Tbwf_system.System.substrate ->
   ?quick:bool ->
   ?seed:int64 ->
@@ -191,7 +186,6 @@ type matrix = {
 }
 
 val run_matrix :
-  ?backend:Tbwf_sim.Backend.t ->
   ?substrate:Tbwf_system.System.substrate ->
   ?pool:Tbwf_parallel.Pool.t ->
   ?quick:bool ->

@@ -14,6 +14,8 @@
     own steps — aborting instead of blocking is exactly what makes the
     universal construction of Figure 7 live. *)
 
+(** Which simulated object an implementation's [invoke]/[query] call, so
+    analyses can attribute that object's operations to the QA layer. *)
 type view =
   | Direct of Tbwf_sim.Shared.t
       (** a {!Qa_object}: [invoke]/[query] are single operations on this
@@ -22,10 +24,6 @@ type view =
       (** a {!Qa_universal} over this RMW cell: [invoke] is one
           [Pair (Str "rmw", Pair (op_id, op))] with client-side op-id
           bookkeeping, [query] is one read with a client-side fate lookup *)
-
-(** How the compiled backend ([Tbwf_compiled]) drives this QA object:
-    which underlying object to call and what client-side bookkeeping the
-    closures perform around the call. *)
 
 type t = {
   name : string;
@@ -38,5 +36,5 @@ type t = {
   peek_state : unit -> Tbwf_sim.Value.t;
       (** zero-step inspection of the current sequential state, for tests *)
   view : view;
-      (** backend view: what [invoke]/[query] compile to (see {!view}) *)
+      (** the underlying object (see {!view}) *)
 }

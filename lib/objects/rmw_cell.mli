@@ -34,4 +34,4 @@ val read : t -> Tbwf_sim.Value.t
 val peek : t -> Tbwf_sim.Value.t
 
 val shared : t -> Tbwf_sim.Shared.t
-(** The underlying simulated object, for the compiled backend. *)
+(** The underlying simulated object. *)

@@ -39,13 +39,3 @@ val peek : 'a t -> 'a
 
 val metrics : _ t -> Metrics.t
 val name : _ t -> string
-
-(** {2 Compiled-backend access}
-
-    As for {!Atomic_reg}: the compiled backend issues operations on the
-    underlying object directly and decodes results itself ([Value.Abort]
-    marks an aborted operation). *)
-
-val shared : _ t -> Tbwf_sim.Shared.t
-val encode : 'a t -> 'a -> Tbwf_sim.Value.t
-val decode : 'a t -> Tbwf_sim.Value.t -> 'a

@@ -22,15 +22,3 @@ val peek : 'a t -> 'a
 
 val metrics : _ t -> Metrics.t
 val name : _ t -> string
-
-(** {2 Compiled-backend access}
-
-    The compiled backend ([Tbwf_compiled]) performs register operations as
-    raw machine actions instead of going through {!read}/{!write} (which
-    suspend with effects). It needs the underlying object and the codec. *)
-
-val shared : _ t -> Tbwf_sim.Shared.t
-(** The underlying simulated object. *)
-
-val encode : 'a t -> 'a -> Tbwf_sim.Value.t
-val decode : 'a t -> Tbwf_sim.Value.t -> 'a

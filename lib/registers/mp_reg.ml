@@ -200,9 +200,6 @@ let atomic cl ~name ~codec ~init =
     read;
     write;
     peek;
-    obj = None;
-    enc = codec.Codec.enc;
-    dec = codec.Codec.dec;
   }
 
 (* --- time-efficient SWMR regular ----------------------------------------- *)
@@ -255,9 +252,6 @@ let regular cl ~name ~codec ~init ~writer =
     read;
     write;
     peek;
-    obj = None;
-    enc = codec.Codec.enc;
-    dec = codec.Codec.dec;
   }
 
 (* --- SWSR abortable adapter ----------------------------------------------- *)
@@ -325,9 +319,6 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
     read;
     write;
     peek = base.Reg.peek;
-    obj = None;
-    enc = codec.Codec.enc;
-    dec = codec.Codec.dec;
   }
 
 let factory cl =

@@ -5,17 +5,7 @@ type 'a t = {
   read : unit -> 'a;
   write : 'a -> unit;
   peek : unit -> 'a;
-  obj : Tbwf_sim.Shared.t option;
-  enc : 'a -> Tbwf_sim.Value.t;
-  dec : Tbwf_sim.Value.t -> 'a;
 }
-
-let obj_exn h =
-  match h.obj with
-  | Some obj -> obj
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Reg.obj_exn: %s is a message-passing register" h.name)
 
 module Abortable = struct
   type 'a t = {
@@ -23,18 +13,7 @@ module Abortable = struct
     read : unit -> 'a option;
     write : 'a -> bool;
     peek : unit -> 'a;
-    obj : Tbwf_sim.Shared.t option;
-    enc : 'a -> Tbwf_sim.Value.t;
-    dec : Tbwf_sim.Value.t -> 'a;
   }
-
-  let obj_exn h =
-    match h.obj with
-    | Some obj -> obj
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Reg.Abortable.obj_exn: %s is a message-passing \
-                         register" h.name)
 end
 
 type kind = Mwmr | Swmr of { writer : int }
@@ -60,9 +39,6 @@ let of_atomic reg =
     read = (fun () -> Atomic_reg.read reg);
     write = (fun v -> Atomic_reg.write reg v);
     peek = (fun () -> Atomic_reg.peek reg);
-    obj = Some (Atomic_reg.shared reg);
-    enc = Atomic_reg.encode reg;
-    dec = Atomic_reg.decode reg;
   }
 
 let of_abortable reg =
@@ -71,9 +47,6 @@ let of_abortable reg =
     read = (fun () -> Abortable_reg.read reg);
     write = (fun v -> Abortable_reg.write reg v);
     peek = (fun () -> Abortable_reg.peek reg);
-    obj = Some (Abortable_reg.shared reg);
-    enc = Abortable_reg.encode reg;
-    dec = Abortable_reg.decode reg;
   }
 
 let shared_factory rt =

@@ -12,16 +12,7 @@
     the simulator's shared objects (byte-identical to the pre-factory
     wiring — same object names, same creation order), and
     [Mp_reg.factory] yields handles backed by replicated server state
-    reached over the simulated network.
-
-    {2 Compiled-backend access}
-
-    Shared-memory handles additionally expose the underlying simulated
-    object and the codec closures ([obj]/[enc]/[dec]), which is what the
-    compiled backend's machines use to issue raw operations. Handles from
-    a message-passing factory have [obj = None]: there are no compiled
-    machines for the substrate ([System.build] rejects that combination
-    up front), so {!obj_exn} is safe wherever machines run. *)
+    reached over the simulated network. *)
 
 type 'a t = {
   name : string;
@@ -31,14 +22,7 @@ type 'a t = {
   peek : unit -> 'a;
       (** zero-step inspection for analyses and tests; over
           message-passing this is the max-tag value across replicas *)
-  obj : Tbwf_sim.Shared.t option;
-  enc : 'a -> Tbwf_sim.Value.t;
-  dec : Tbwf_sim.Value.t -> 'a;
 }
-
-val obj_exn : 'a t -> Tbwf_sim.Shared.t
-(** The underlying shared object; raises [Invalid_argument] on a
-    message-passing handle. *)
 
 (** Abortable handles, mirroring {!Abortable_reg}'s interface. *)
 module Abortable : sig
@@ -47,12 +31,7 @@ module Abortable : sig
     read : unit -> 'a option;  (** [None] is ⊥: the read aborted *)
     write : 'a -> bool;  (** [false] is ⊥: aborted, may have taken effect *)
     peek : unit -> 'a;
-    obj : Tbwf_sim.Shared.t option;
-    enc : 'a -> Tbwf_sim.Value.t;
-    dec : Tbwf_sim.Value.t -> 'a;
   }
-
-  val obj_exn : 'a t -> Tbwf_sim.Shared.t
 end
 
 (** What the register is used as. Shared-memory registers are MWMR

@@ -12,22 +12,10 @@ type pending = {
       (* object event-counter value just after this op's invocation *)
 }
 
-type machine_action = M_yield | M_call of Shared.t * Value.t | M_halt
-
-(* A machine is a compiled task body: an effect-free step function that,
-   given the result of its last call ([Value.Unit] on resume-from-yield
-   and at the first step), runs to its next suspension point and says
-   how it suspended. One invocation of the function = one step, exactly
-   mirroring the effects-based contract that a task runs from suspension
-   to next effect. *)
-type machine = Value.t -> machine_action
-
 type task_state =
   | Ready of (unit -> unit)
   | Suspended_local of (unit, unit) Effect.Deep.continuation
   | Suspended_call of (Value.t, unit) Effect.Deep.continuation * pending
-  | Machine_ready of machine
-  | Machine_awaiting of machine * pending
   | Running
   | Finished
 
@@ -185,9 +173,6 @@ let push_task t ~pid ~name ~layer state =
 let spawn ?(layer = Sink.Other) t ~pid ~name body =
   push_task t ~pid ~name ~layer (Ready body)
 
-let spawn_machine ?(layer = Sink.Other) t ~pid ~name fn =
-  push_task t ~pid ~name ~layer (Machine_ready fn)
-
 let crash_at t ~pid ~step = t.crashes <- (step, pid) :: t.crashes
 
 let crashed t ~pid = t.procs.(pid).is_crashed
@@ -256,8 +241,7 @@ let await cond =
 let finish_task t task =
   match task.t_state with
   | Finished -> ()
-  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready _
-  | Machine_awaiting _ | Running ->
+  | Ready _ | Suspended_local _ | Suspended_call _ | Running ->
     task.t_state <- Finished;
     let proc = t.procs.(task.t_pid) in
     proc.live <- proc.live - 1;
@@ -324,33 +308,6 @@ let respond_pending t pend =
       ~op:pend.p_op ~result;
   result
 
-(* Invocation-side bookkeeping, shared by the effects handler's [Call]
-   case and the machine interpreter's [M_call]: both backends must record
-   the invocation identically for traces and telemetry to stay
-   byte-identical. *)
-let begin_call t task obj op =
-  ensure_obj t obj.Shared.id;
-  bump_events t obj.Shared.id;
-  let pend =
-    {
-      p_pid = task.t_pid;
-      p_obj = obj;
-      p_op = op;
-      p_invoke_step = t.step;
-      p_layer = task.t_layer;
-      p_overlapped = false;
-      p_overlap_ops = [];
-      p_events_at_invoke = events_of t obj.Shared.id;
-    }
-  in
-  add_pending t pend;
-  Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid
-    ~obj_id:obj.Shared.id ~obj_name:obj.Shared.name ~op;
-  if t.sink.Sink.active then
-    t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid ~layer:task.t_layer
-      ~obj_id:obj.Shared.id ~obj_name:obj.Shared.name ~op;
-  pend
-
 (* --- task execution ----------------------------------------------------- *)
 
 let handler t task =
@@ -376,7 +333,27 @@ let handler t task =
         | Call (obj, op) ->
           Some
             (fun (k : (a, unit) continuation) ->
-              let pend = begin_call t task obj op in
+              ensure_obj t obj.Shared.id;
+              bump_events t obj.Shared.id;
+              let pend =
+                {
+                  p_pid = task.t_pid;
+                  p_obj = obj;
+                  p_op = op;
+                  p_invoke_step = t.step;
+                  p_layer = task.t_layer;
+                  p_overlapped = false;
+                  p_overlap_ops = [];
+                  p_events_at_invoke = events_of t obj.Shared.id;
+                }
+              in
+              add_pending t pend;
+              Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid
+                ~obj_id:obj.Shared.id ~obj_name:obj.Shared.name ~op;
+              if t.sink.Sink.active then
+                t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid
+                  ~layer:task.t_layer ~obj_id:obj.Shared.id
+                  ~obj_name:obj.Shared.name ~op;
               task.t_state <- Suspended_call (k, pend))
         | Self -> Some (fun (k : (a, unit) continuation) -> continue k task.t_pid)
         | _ -> None);
@@ -384,9 +361,7 @@ let handler t task =
 
 let runnable_task task =
   match task.t_state with
-  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready _
-  | Machine_awaiting _ ->
-    true
+  | Ready _ | Suspended_local _ | Suspended_call _ -> true
   | Running | Finished -> false
 
 let proc_runnable proc =
@@ -409,17 +384,6 @@ let pick_task proc =
   in
   search 0 proc.next_task
 
-(* Run one step of a machine: feed it the value it was waiting on and
-   reinstate the state its action implies. The machine function itself
-   executes synchronously — no continuation is captured. *)
-let run_machine t task fn v =
-  match fn v with
-  | M_yield -> task.t_state <- Machine_ready fn
-  | M_call (obj, op) ->
-    let pend = begin_call t task obj op in
-    task.t_state <- Machine_awaiting (fn, pend)
-  | M_halt -> finish_task t task
-
 let exec_task_step t task =
   match task.t_state with
   | Ready body ->
@@ -432,13 +396,6 @@ let exec_task_step t task =
     let result = respond_pending t pend in
     task.t_state <- Running;
     Effect.Deep.continue k result
-  | Machine_ready fn ->
-    task.t_state <- Running;
-    run_machine t task fn Value.Unit
-  | Machine_awaiting (fn, pend) ->
-    let result = respond_pending t pend in
-    task.t_state <- Running;
-    run_machine t task fn result
   | Running | Finished -> assert false
 
 (* Resolve any in-flight operation so the object's state is well defined,
@@ -454,10 +411,7 @@ let unwind_tasks t proc =
     | Suspended_local k ->
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
-    | Machine_awaiting (_, pend) ->
-      let (_ : Value.t) = respond_pending t pend in
-      finish_task t task
-    | Ready _ | Machine_ready _ -> finish_task t task
+    | Ready _ -> finish_task t task
     | Running | Finished -> ()
   in
   for i = 0 to proc.n_tasks - 1 do
@@ -630,10 +584,7 @@ let stop t =
       let (_ : int) = remove_pending t pend in
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
-    | Machine_awaiting (_, pend) ->
-      let (_ : int) = remove_pending t pend in
-      finish_task t task
-    | Ready _ | Machine_ready _ -> finish_task t task
+    | Ready _ -> finish_task t task
     | Running | Finished -> ()
   in
   for p = 0 to t.num - 1 do

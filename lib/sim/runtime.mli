@@ -61,34 +61,6 @@ val spawn :
     every step and operation the task performs for telemetry attribution
     (default {!Sink.Other}); it has no behavioural effect. *)
 
-(** {2 Machine tasks (compiled backend)}
-
-    A {e machine} is a task body compiled down to an effect-free step
-    function: instead of suspending with effects, it runs to its next
-    suspension point and {e returns} how it suspended. The runtime
-    interprets the action — no continuation capture, no handler dispatch,
-    no per-step closure — which is what the compiled backend
-    ([Tbwf_compiled]) is built on. Machine tasks and effect tasks share
-    every other bit of runtime bookkeeping (trace records, pending-op
-    tracking, telemetry, crash/stop semantics), so a machine that mirrors
-    a task body's effect sequence produces a byte-identical run. *)
-
-type machine_action =
-  | M_yield  (** the task's [yield]: give up the step *)
-  | M_call of Shared.t * Value.t
-      (** the task's [call obj op]: invoke now, the result arrives as the
-          argument of the machine's next invocation *)
-  | M_halt  (** the task body returned *)
-
-type machine = Value.t -> machine_action
-(** One invocation = one step. The argument is the result of the call the
-    machine last suspended on, or {!Value.Unit} after a yield and at the
-    machine's first step. *)
-
-val spawn_machine :
-  ?layer:Sink.layer -> t -> pid:int -> name:string -> machine -> unit
-(** Like {!spawn}, for a compiled task body. *)
-
 val crash_at : t -> pid:int -> step:int -> unit
 (** Schedule [pid] to crash just before step [step] executes. A crashed
     process never takes another step; its in-flight operation (if any) is

@@ -118,7 +118,6 @@ let substrate_name = function
 
 type stack = {
   system : id;
-  backend : Backend.t;
   substrate : substrate;
   rt : Runtime.t;
   net : Tbwf_net.Net.t option;
@@ -135,20 +134,11 @@ let default_qa_universal = function
   | Tbwf_universal -> true
   | Tbwf_atomic | Tbwf_abortable | Naive_booster | Retry -> false
 
-let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
+let build ?(substrate = Shared_memory) ?seed
     ?(record_trace = true) ?(canonical = true) ?(qa_policy = Abort_policy.Always)
     ?(mesh_policy = Abort_policy.Always) ?qa_universal ?(spec = Counter.spec)
     ?(next_op = Workload.forever Counter.inc) ?client_pids
     ?(telemetry = false) ?telemetry_window ?telemetry_retain ~n id =
-  (match backend, substrate with
-  | Backend.Compiled, Message_passing _ ->
-    (* The compiled machines talk to register objects through direct
-       Shared.t handles; the quorum emulation has none. Rejecting here
-       keeps the two backends byte-identical wherever both exist, rather
-       than letting them silently diverge. *)
-    invalid_arg
-      "System.build: the compiled backend requires the shared-memory substrate"
-  | (Backend.Reference | Backend.Compiled), _ -> ());
   let rt =
     match substrate with
     | Shared_memory -> Runtime.create ?seed ~record_trace ~n ()
@@ -179,30 +169,15 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
       let cluster = Mp_reg.Cluster.create rt ~net in
       Some net, Some cluster, Some (Mp_reg.factory cluster)
   in
-  (* Both backends create objects and spawn tasks at the same wiring
-     points, in the same order — what differs is only whether the spawned
-     task bodies are effect coroutines or compiled machines. That shared
-     order is what makes the two backends assign identical object ids and
-     produce byte-identical traces. *)
   let handles =
-    match backend, id with
-    | Backend.Reference, Tbwf_atomic ->
-      (install_atomic ?factory ~n rt).Omega_registers.handles
-    | Backend.Compiled, Tbwf_atomic ->
-      (Tbwf_compiled.Omega_atomic_compiled.install rt)
-        .Omega_registers.handles
-    | Backend.Reference, (Tbwf_abortable | Tbwf_universal) ->
+    match id with
+    | Tbwf_atomic -> (install_atomic ?factory ~n rt).Omega_registers.handles
+    | Tbwf_abortable | Tbwf_universal ->
       (install_abortable ?factory ~n rt ~policy:mesh_policy ())
         .Omega_abortable.handles
-    | Backend.Compiled, (Tbwf_abortable | Tbwf_universal) ->
-      (Tbwf_compiled.Omega_abortable_compiled.install rt ~policy:mesh_policy
-         ())
-        .Omega_abortable.handles
-    | Backend.Reference, Naive_booster ->
+    | Naive_booster ->
       (install_naive ?factory ~n rt).Baselines.Naive_booster.handles
-    | Backend.Compiled, Naive_booster ->
-      (Tbwf_compiled.Naive_compiled.install rt).Baselines.Naive_booster.handles
-    | _, Retry -> [||]
+    | Retry -> [||]
   in
   let qa =
     let universal =
@@ -225,21 +200,9 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
   let client_pids =
     match client_pids with Some pids -> pids | None -> List.init n Fun.id
   in
-  (match backend with
-  | Backend.Reference ->
-    Workload.spawn_clients rt ~pids:client_pids ~stats ~invoke ~next_op
-  | Backend.Compiled -> (
-    let cqa = Tbwf_compiled.Qa_call.of_qa ~n qa in
-    match id with
-    | Tbwf_atomic | Tbwf_abortable | Tbwf_universal | Naive_booster ->
-      Tbwf_compiled.Client_machine.spawn_boosted_clients rt ~pids:client_pids
-        ~handles ~canonical ~qa:cqa ~stats ~next_op
-    | Retry ->
-      Tbwf_compiled.Client_machine.spawn_retry_clients rt ~pids:client_pids
-        ~qa:cqa ~stats ~next_op));
+  Workload.spawn_clients rt ~pids:client_pids ~stats ~invoke ~next_op;
   {
     system = id;
-    backend;
     substrate;
     rt;
     net;

@@ -129,9 +129,6 @@ val substrate_name : substrate -> string
 
 type stack = {
   system : id;
-  backend : Backend.t;
-      (** which backend executes the stack's tasks; identical observable
-          behaviour either way (see {!Backend}) *)
   substrate : substrate;
   rt : Runtime.t;
   net : Tbwf_net.Net.t option;
@@ -151,7 +148,6 @@ type stack = {
 }
 
 val build :
-  ?backend:Backend.t ->
   ?substrate:substrate ->
   ?seed:int64 ->
   ?record_trace:bool ->
@@ -189,18 +185,9 @@ val build :
     made of; with [Message_passing config] the runtime is created
     [n + config.replicas] processes wide, the network and replica cluster
     are wired between the collector and the Ω∆, and the Ω∆ installs with
-    the quorum-register factory restricted to the [n] client pids. Raises
-    [Invalid_argument] when combined with the compiled backend — the
-    machines need direct [Shared.t] handles, which quorum registers do
-    not have.
+    the quorum-register factory restricted to the [n] client pids.
 
     Wiring order (runtime, collector, [network, cluster,] Ω∆, QA,
     transformation, workload) is part of the determinism contract: it
     fixes the object-id assignment and hence the trace fingerprint for a
-    given (seed, policy, code).
-
-    [backend] (default {!Backend.Reference}) selects how the stack's tasks
-    execute: effect coroutines, or the compiled machines of
-    [Tbwf_compiled]. Both wire objects and tasks in the same order and are
-    observationally byte-identical — same trace fingerprints, same
-    telemetry snapshots — as enforced by [Tbwf_check.Differential]. *)
+    given (seed, policy, code). *)

@@ -152,7 +152,7 @@ let test_fuzz_clean_scenario_finds_nothing () =
   Alcotest.(check int) "all runs executed" 300 f.Explore.fuzz_runs;
   (* budget exhausted without a witness: the partial outcome must name
      the batch that was in flight and its derived stream seed, so the
-     search is resumable (same or other execution backend) *)
+     search is resumable *)
   let last = (300 / Explore.fuzz_batch_runs) - 1 in
   (match f.Explore.exhausted_batch with
   | Some (k, task_seed) ->

@@ -149,24 +149,6 @@ let test_campaign_run_identical_across_pools () =
   let base = render 1 in
   Alcotest.(check string) "pool of 3 = pool of 1" base (render 3)
 
-(* Mirror of the smoke above on the compiled backend: the pool partition
-   (Rng.task_seed per cell) and the compiled machines must compose into
-   the same bytes at --jobs 1 and --jobs 4. *)
-let test_campaign_run_compiled_identical_across_pools () =
-  let c = Option.get (Campaign.find "slowdown") in
-  let systems = [ Campaign.Tbwf_atomic; Campaign.Naive_booster ] in
-  let render backend d =
-    Fmt.str "%a" Campaign.pp_outcome
-      (Campaign.run ~backend ~pool:(pool d) ~systems c)
-  in
-  let base = render Tbwf_sim.Backend.Compiled 1 in
-  Alcotest.(check string)
-    "compiled, pool of 4 = pool of 1" base
-    (render Tbwf_sim.Backend.Compiled 4);
-  Alcotest.(check string)
-    "compiled = reference bytes" base
-    (render Tbwf_sim.Backend.Reference 1)
-
 (* Rng.task_seed is the pool's determinism keystone: the seed of task k
    is a pure function of (master, k), independent of domain count or
    execution order. Pin a few values so a drive-by "improvement" to the
@@ -240,8 +222,6 @@ let () =
         [
           Alcotest.test_case "run identical across pools" `Quick
             test_campaign_run_identical_across_pools;
-          Alcotest.test_case "compiled run identical across pools" `Quick
-            test_campaign_run_compiled_identical_across_pools;
           Alcotest.test_case "task seeds stable" `Quick
             test_task_seed_stable;
           Alcotest.test_case "matrix + merged telemetry identical" `Quick
