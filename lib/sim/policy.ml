@@ -30,32 +30,55 @@ let round_robin () =
   in
   { name = "round-robin"; next; script_branching = ref [] }
 
-let weighted_pick rng candidates weight_of =
-  let total = Array.fold_left (fun acc p -> acc +. weight_of p) 0.0 candidates in
-  if total <= 0.0 then None
+(* [a] if it already has a slot for [pid], else a copy grown to fit it
+   with the new slots set to [fill]: per-pid tables start at the pids a
+   policy was given and grow for the pids the runtime hands it. *)
+let fit a (pid : int) fill =
+  let len = Array.length a in
+  if pid < len then a
   else begin
-    let target = Rng.float rng *. total in
+    let b = Array.make (Int.max (2 * len) (pid + 1)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+(* Seeded-random choice among [runnable] by the pid-indexed [weights]; -1
+   when no weight is positive (then no random draw is made). The sums run
+   in [runnable] order, so the choice for a given draw is fixed. *)
+let weighted_pick rng (weights : float array) (runnable : int array) =
+  let len = Array.length runnable in
+  let total = ref 0.0 in
+  for i = 0 to len - 1 do
+    total := !total +. weights.(runnable.(i))
+  done;
+  if !total <= 0.0 then -1
+  else begin
+    let target = Rng.float rng *. !total in
     let acc = ref 0.0 in
-    let chosen = ref None in
-    Array.iter
-      (fun p ->
-        if !chosen = None then begin
-          acc := !acc +. weight_of p;
-          if !acc > target then chosen := Some p
-        end)
-      candidates;
+    let chosen = ref (-1) in
+    let i = ref 0 in
+    while !chosen < 0 && !i < len do
+      let p = runnable.(!i) in
+      acc := !acc +. weights.(p);
+      if !acc > target then chosen := p;
+      incr i
+    done;
     (* floating-point slack: fall back to the last candidate *)
-    match !chosen with
-    | Some _ as c -> c
-    | None -> Some candidates.(Array.length candidates - 1)
+    if !chosen < 0 then runnable.(len - 1) else !chosen
   end
 
 let weighted weights =
-  let table = Hashtbl.create 16 in
-  Array.iter (fun (pid, w) -> Hashtbl.replace table pid w) weights;
-  let weight_of p = Option.value (Hashtbl.find_opt table p) ~default:1.0 in
+  let cap = Array.fold_left (fun m (p, _) -> Int.max m (p + 1)) 0 weights in
+  let table = ref (Array.make cap 1.0) in
+  Array.iter (fun (pid, w) -> if pid >= 0 then !table.(pid) <- w) weights;
   let next ~step:_ ~runnable ~rng =
-    if Array.length runnable = 0 then None else weighted_pick rng runnable weight_of
+    let len = Array.length runnable in
+    if len = 0 then None
+    else begin
+      table := fit !table runnable.(len - 1) 1.0;
+      let p = weighted_pick rng !table runnable in
+      if p < 0 then None else Some p
+    end
   in
   { name = "weighted"; next; script_branching = ref [] }
 
@@ -67,7 +90,6 @@ type pattern =
   | Silent
   | Switch_at of int * pattern * pattern
 
-(* Mutable flicker phase tracking, keyed by pid. *)
 type flicker_state = {
   mutable awake : bool;
   mutable phase_end : int;  (* first step of the next phase *)
@@ -80,130 +102,155 @@ type slowing_state = {
   mutable burst_left : int;
 }
 
-let of_patterns ?(name = "patterns") assignments =
-  let patterns = Hashtbl.create 16 in
-  List.iter (fun (pid, p) -> Hashtbl.replace patterns pid p) assignments;
-  let flickers : (int, flicker_state) Hashtbl.t = Hashtbl.create 16 in
-  let slowers : (int, slowing_state) Hashtbl.t = Hashtbl.create 16 in
-  let last_run = Hashtbl.create 16 in
-  let rec resolve step = function
-    | Switch_at (s, before, after) ->
-      if step < s then resolve step before else resolve step after
-    | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as p -> p
-  in
-  let slowing_state pid step initial_gap burst =
-    match Hashtbl.find_opt slowers pid with
-    | Some st -> st
+(* Everything [of_patterns] keeps per pid, in tables indexed by pid and
+   grown together (see [fit]). Flicker and slowing state are created at
+   the first step that resolves that pattern for that pid, and are kept
+   per pid across [Switch_at]s. *)
+type patterns = {
+  mutable assigned : pattern array;  (* unnamed pids: [Weighted 1.0] *)
+  mutable last_run : int array;  (* -1 = never ran *)
+  mutable flickers : flicker_state option array;
+  mutable slowers : slowing_state option array;
+  mutable weights : float array;  (* this spare step's weight per pid *)
+}
+
+let default_pattern = Weighted 1.0
+
+let fit_patterns st (pid : int) =
+  if pid >= Array.length st.assigned then begin
+    st.assigned <- fit st.assigned pid default_pattern;
+    st.last_run <- fit st.last_run pid (-1);
+    st.flickers <- fit st.flickers pid None;
+    st.slowers <- fit st.slowers pid None;
+    st.weights <- fit st.weights pid 0.0
+  end
+
+let rec resolve (step : int) = function
+  | Switch_at (s, before, after) ->
+    if step < s then resolve step before else resolve step after
+  | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as p -> p
+
+let slowing_state st (pid : int) (step : int) (initial_gap : int)
+    (burst : int) =
+  match st.slowers.(pid) with
+  | Some s -> s
+  | None ->
+    let s = { due = step; gap = float_of_int initial_gap; burst_left = burst } in
+    st.slowers.(pid) <- Some s;
+    s
+
+let flicker_awake st (pid : int) (step : int) (active : int) (sleep : int)
+    growth =
+  let f =
+    match st.flickers.(pid) with
+    | Some f -> f
     | None ->
-      let st =
-        { due = step; gap = float_of_int initial_gap; burst_left = burst }
+      let f =
+        {
+          awake = true;
+          phase_end = step + active;
+          sleep_len = float_of_int sleep;
+        }
       in
-      Hashtbl.replace slowers pid st;
-      st
+      st.flickers.(pid) <- Some f;
+      f
   in
-  let flicker_awake pid step active sleep growth =
-    let st =
-      match Hashtbl.find_opt flickers pid with
-      | Some st -> st
-      | None ->
-        let st = { awake = true; phase_end = step + active; sleep_len = float_of_int sleep } in
-        Hashtbl.replace flickers pid st;
-        st
-    in
-    while step >= st.phase_end do
-      if st.awake then begin
-        st.awake <- false;
-        st.phase_end <- st.phase_end + int_of_float st.sleep_len;
-        st.sleep_len <- st.sleep_len *. growth
-      end
-      else begin
-        st.awake <- true;
-        st.phase_end <- st.phase_end + active
-      end
-    done;
-    st.awake
-  in
-  let next ~step ~runnable ~rng =
-    if Array.length runnable = 0 then None
+  while step >= f.phase_end do
+    if f.awake then begin
+      f.awake <- false;
+      f.phase_end <- f.phase_end + int_of_float f.sleep_len;
+      f.sleep_len <- f.sleep_len *. growth
+    end
     else begin
-      let pattern_of p =
-        resolve step
-          (Option.value (Hashtbl.find_opt patterns p) ~default:(Weighted 1.0))
-      in
-      let claims =
-        Array.to_list runnable
-        |> List.filter (fun p ->
-               match pattern_of p with
-               | Every { period; offset } -> (step - offset) mod period = 0
-               | Slowing { initial_gap; growth = _; burst } ->
-                 step >= (slowing_state p step initial_gap burst).due
-               | Weighted _ | Flicker _ | Silent | Switch_at _ -> false)
-      in
-      match claims with
-      | _ :: _ ->
-        (* serve the least-recently-run claimant so ties starve nobody *)
-        let ran_at p = Option.value (Hashtbl.find_opt last_run p) ~default:(-1) in
-        let best =
-          List.fold_left
-            (fun best p ->
-              match best with
-              | None -> Some p
-              | Some b -> if ran_at p < ran_at b then Some p else best)
-            None claims
-        in
-        Option.iter
-          (fun p ->
-            Hashtbl.replace last_run p step;
-            match pattern_of p with
-            | Slowing { initial_gap; growth; burst } ->
-              let st = slowing_state p step initial_gap burst in
-              if st.burst_left > 1 then st.burst_left <- st.burst_left - 1
-              else begin
-                st.burst_left <- max 1 burst;
-                st.due <- step + int_of_float st.gap;
-                st.gap <- st.gap *. growth
-              end
-            | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ())
-          best;
-        best
-      | [] ->
-        let weight_of p =
-          match pattern_of p with
+      f.awake <- true;
+      f.phase_end <- f.phase_end + active
+    end
+  done;
+  f.awake
+
+(* The least-recently-run eligible pid in [runnable], the first in pid
+   order on ties, or -1. Eligible means holding a hard claim on [step]
+   ([Every] due, or [Slowing] due), or, on a [spare] step, any [Every]. *)
+let least_recent st (step : int) (runnable : int array) ~spare =
+  let best = ref (-1) in
+  let best_ran = ref max_int in
+  for i = 0 to Array.length runnable - 1 do
+    let p = runnable.(i) in
+    let eligible =
+      match resolve step st.assigned.(p) with
+      | Every { period; offset } -> spare || (step - offset) mod period = 0
+      | Slowing { initial_gap; growth = _; burst } ->
+        (not spare) && step >= (slowing_state st p step initial_gap burst).due
+      | Weighted _ | Flicker _ | Silent | Switch_at _ -> false
+    in
+    if eligible && st.last_run.(p) < !best_ran then begin
+      best := p;
+      best_ran := st.last_run.(p)
+    end
+  done;
+  !best
+
+let pick_pattern st ~step ~runnable ~rng =
+  let len = Array.length runnable in
+  if len = 0 then None
+  else begin
+    fit_patterns st runnable.(len - 1);
+    (* hard claims first, least-recently-run so ties starve nobody *)
+    let claimant = least_recent st step runnable ~spare:false in
+    if claimant >= 0 then begin
+      st.last_run.(claimant) <- step;
+      (match resolve step st.assigned.(claimant) with
+      | Slowing { initial_gap; growth; burst } ->
+        let s = slowing_state st claimant step initial_gap burst in
+        if s.burst_left > 1 then s.burst_left <- s.burst_left - 1
+        else begin
+          s.burst_left <- Int.max 1 burst;
+          s.due <- step + int_of_float s.gap;
+          s.gap <- s.gap *. growth
+        end
+      | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ());
+      Some claimant
+    end
+    else begin
+      for i = 0 to len - 1 do
+        let p = runnable.(i) in
+        st.weights.(p) <-
+          (match resolve step st.assigned.(p) with
           | Weighted w -> w
           | Flicker { active; sleep; growth } ->
-            if flicker_awake p step active sleep growth then 1.0 else 0.0
+            if flicker_awake st p step active sleep growth then 1.0 else 0.0
           | Every _ | Slowing _ | Silent -> 0.0
-          | Switch_at _ -> assert false
-        in
-        let chosen = weighted_pick rng runnable weight_of in
-        (match chosen with
-        | Some p -> Hashtbl.replace last_run p step; Some p
-        | None ->
-          (* No soft participant this step. Give the spare step to an
-             off-claim [Every] process (it is willing, merely not due), so
-             runs made only of timely processes keep progressing; if truly
-             everyone is silent, let the step pass idle. *)
-          let willing =
-            Array.to_list runnable
-            |> List.filter (fun p ->
-                   match pattern_of p with
-                   | Every _ -> true
-                   | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ ->
-                     false)
-          in
-          let ran_at p = Option.value (Hashtbl.find_opt last_run p) ~default:(-1) in
-          let best =
-            List.fold_left
-              (fun best p ->
-                match best with
-                | None -> Some p
-                | Some b -> if ran_at p < ran_at b then Some p else best)
-              None willing
-          in
-          Option.iter (fun p -> Hashtbl.replace last_run p step) best;
-          best)
+          | Switch_at _ -> assert false)
+      done;
+      let chosen = weighted_pick rng st.weights runnable in
+      (* No soft participant this step: give the spare step to an
+         off-claim [Every] process (it is willing, merely not due), so
+         runs made only of timely processes keep progressing; if truly
+         everyone is silent, let the step pass idle. *)
+      let chosen =
+        if chosen >= 0 then chosen else least_recent st step runnable ~spare:true
+      in
+      if chosen < 0 then None
+      else begin
+        st.last_run.(chosen) <- step;
+        Some chosen
       end
+    end
+  end
+
+let of_patterns ?(name = "patterns") assignments =
+  let cap = List.fold_left (fun m (p, _) -> Int.max m (p + 1)) 0 assignments in
+  let st =
+    {
+      assigned = Array.make cap default_pattern;
+      last_run = Array.make cap (-1);
+      flickers = Array.make cap None;
+      slowers = Array.make cap None;
+      weights = Array.make cap 0.0;
+    }
   in
+  List.iter (fun (pid, p) -> if pid >= 0 then st.assigned.(pid) <- p) assignments;
+  let next ~step ~runnable ~rng = pick_pattern st ~step ~runnable ~rng in
   { name; next; script_branching = ref [] }
 
 let solo_after ~n ~pid ~step =

@@ -19,13 +19,13 @@ let bucket_of v =
   if v <= 0 then 0
   else begin
     let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-    min (n_buckets - 1) (bits 0 v)
+    Int.min (n_buckets - 1) (bits 0 v)
   end
 
 let bucket_lo i = if i = 0 then 0 else 1 lsl (i - 1)
 
 let observe t v =
-  let v = max v 0 in
+  let v = Int.max v 0 in
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v > t.max then t.max <- v;

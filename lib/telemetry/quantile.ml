@@ -45,7 +45,7 @@ let bucket_hi i =
   end
 
 let observe t v =
-  let v = max v 0 in
+  let v = Int.max v 0 in
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v > t.max then t.max <- v;

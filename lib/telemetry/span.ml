@@ -10,10 +10,15 @@
 
 open Tbwf_sim
 
+(* A span is contended iff another operation on its object was in flight
+   at its invoke, or another invoke on its object came before its
+   response: while it is open it counts in [open_count], so any such
+   invoke sees two or more in flight. *)
 type open_span = {
   os_obj : int;
   os_invoke : int;
-  mutable os_contended : bool;
+  os_seen : int;  (* the object's [invokes] count including this one *)
+  os_contended : bool;  (* another operation was in flight at invoke *)
 }
 
 (* A well-formed run closes every span it opens, but a sink attached
@@ -35,6 +40,7 @@ type t = {
      and a hash table here costs an allocation per call. *)
   mutable open_count : int array;  (* obj_id -> in-flight spans *)
   mutable in_window : bool array;  (* obj_id -> contention window open *)
+  mutable invokes : int array;  (* obj_id -> invokes seen *)
   abort_streak : int array;  (* per pid, current run of Abort results *)
   streaks : Hist.t;  (* lengths of completed abort streaks *)
   mutable completed : int;
@@ -53,6 +59,7 @@ let create ~n =
     open_len = Array.make n 0;
     open_count = Array.make initial_objs 0;
     in_window = Array.make initial_objs false;
+    invokes = Array.make initial_objs 0;
     abort_streak = Array.make n 0;
     streaks = Hist.create ();
     completed = 0;
@@ -62,21 +69,33 @@ let create ~n =
 
 let ensure_obj t obj_id =
   if obj_id >= Array.length t.open_count then begin
-    let cap = max (2 * Array.length t.open_count) (obj_id + 1) in
+    let cap = Int.max (2 * Array.length t.open_count) (obj_id + 1) in
     let open_count = Array.make cap 0 in
     Array.blit t.open_count 0 open_count 0 (Array.length t.open_count);
     t.open_count <- open_count;
     let in_window = Array.make cap false in
     Array.blit t.in_window 0 in_window 0 (Array.length t.in_window);
-    t.in_window <- in_window
+    t.in_window <- in_window;
+    let invokes = Array.make cap 0 in
+    Array.blit t.invokes 0 invokes 0 (Array.length t.invokes);
+    t.invokes <- invokes
   end
 
 let on_invoke t ~pid ~obj_id ~step =
   if pid >= 0 && pid < t.n && obj_id >= 0 then begin
     ensure_obj t obj_id;
-    let sp = { os_obj = obj_id; os_invoke = step; os_contended = false } in
     let opens = t.open_count.(obj_id) + 1 in
     t.open_count.(obj_id) <- opens;
+    let seen = t.invokes.(obj_id) + 1 in
+    t.invokes.(obj_id) <- seen;
+    let sp =
+      {
+        os_obj = obj_id;
+        os_invoke = step;
+        os_seen = seen;
+        os_contended = opens >= 2;
+      }
+    in
     let existing = t.open_spans.(pid) in
     let existing =
       if t.open_len.(pid) >= max_open_spans then begin
@@ -87,16 +106,9 @@ let on_invoke t ~pid ~obj_id ~step =
     in
     t.open_spans.(pid) <- sp :: existing;
     t.open_len.(pid) <- t.open_len.(pid) + 1;
-    if opens >= 2 then begin
-      (* Everyone currently in flight on this object is contended. *)
-      Array.iter
-        (List.iter (fun other ->
-             if other.os_obj = obj_id then other.os_contended <- true))
-        t.open_spans;
-      if not t.in_window.(obj_id) then begin
-        t.in_window.(obj_id) <- true;
-        t.contention_windows <- t.contention_windows + 1
-      end
+    if opens >= 2 && not t.in_window.(obj_id) then begin
+      t.in_window.(obj_id) <- true;
+      t.contention_windows <- t.contention_windows + 1
     end
   end
 
@@ -118,9 +130,10 @@ let on_respond t ~pid ~layer ~obj_id ~step ~aborted =
       t.completed <- t.completed + 1;
       Hist.observe t.latency.(Sink.layer_index layer) (step - sp.os_invoke);
       Quantile.observe t.tails.(Sink.layer_index layer) (step - sp.os_invoke);
-      if sp.os_contended then t.contended_spans <- t.contended_spans + 1;
+      if sp.os_contended || t.invokes.(obj_id) > sp.os_seen then
+        t.contended_spans <- t.contended_spans + 1;
       ensure_obj t obj_id;
-      let opens = max 0 (t.open_count.(obj_id) - 1) in
+      let opens = Int.max 0 (t.open_count.(obj_id) - 1) in
       t.open_count.(obj_id) <- opens;
       if opens = 0 then t.in_window.(obj_id) <- false);
     if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1
@@ -144,6 +157,7 @@ let merge a b =
     open_len = Array.make a.n 0;
     open_count = Array.make initial_objs 0;
     in_window = Array.make initial_objs false;
+    invokes = Array.make initial_objs 0;
     abort_streak = Array.make a.n 0;
     streaks = Hist.merge a.streaks b.streaks;
     completed = a.completed + b.completed;

@@ -190,6 +190,156 @@ let test_solo_after () =
   Alcotest.(check bool) "others ran before switch" true
     (List.length early_others > 0)
 
+(* --- schedule golden ------------------------------------------------------ *)
+
+(* The first [golden_steps] picks of three policies, recorded from the
+   hash-table implementation that the pid-indexed tables replaced, and
+   compared pick by pick: any differing decision fails. On a mismatch the
+   current rendering is written to policy_schedules.actual in the test's
+   working directory; after an intended change, copy it over the golden. *)
+
+let golden_steps = 20_000
+
+(* One runnable array per step for a run over pids [0, n) in which each
+   [(pid, at)] of [leaves] stops being runnable at step [at]; steps with
+   the same set share one array, so replaying them allocates nothing. *)
+let runnable_sets ~n ~steps leaves =
+  let sets = Array.make steps [||] in
+  let current = ref (Array.init n Fun.id) in
+  for step = 0 to steps - 1 do
+    if List.exists (fun (_, at) -> at = step) leaves then
+      current :=
+        Array.of_list
+          (List.filter
+             (fun p -> not (List.mem (p, step) leaves))
+             (Array.to_list !current));
+    sets.(step) <- !current
+  done;
+  sets
+
+(* Every pattern, a nested [Switch_at], a pid the plan does not name
+   (pid 6, which also leaves the runnable set mid-run), simultaneous
+   [Every] claims (pids 0 and 2 before step 2000), [Slowing] state created
+   at a switch and reused across one (pids 2 and 3), and spare steps that
+   reach both the weighted pick and, while pid 5 is silent, pid 6 is gone
+   and the flicker sleeps, the willing-[Every] fallback. *)
+let mixed_case () =
+  let policy =
+    Policy.of_patterns ~name:"golden-mixed"
+      [
+        0, Policy.Every { period = 7; offset = 0 };
+        1, Policy.Every { period = 5; offset = 1 };
+        ( 2,
+          Policy.Switch_at
+            ( 2_000,
+              Policy.Every { period = 7; offset = 0 },
+              Policy.Slowing { initial_gap = 3; growth = 1.1; burst = 0 } ) );
+        ( 3,
+          Policy.Switch_at
+            ( 10_000,
+              Policy.Slowing { initial_gap = 2; growth = 1.2; burst = 1 },
+              Policy.Slowing { initial_gap = 50; growth = 1.0; burst = 3 } ) );
+        4, Policy.Flicker { active = 30; sleep = 40; growth = 1.5 };
+        ( 5,
+          Policy.Switch_at
+            ( 4_000,
+              Policy.Weighted 2.0,
+              Policy.Switch_at (14_000, Policy.Silent, Policy.Weighted 0.5) ) );
+      ]
+  in
+  policy, runnable_sets ~n:7 ~steps:golden_steps [ 6, 12_000 ]
+
+(* [Policy.weighted] over the mixed case's runnable sets: pid 2 weighs
+   nothing and pids 5 and 6 are not listed, so they weigh 1.0. *)
+let weighted_case () =
+  ( Policy.weighted [| 0, 4.0; 1, 1.0; 2, 0.0; 3, 0.25; 4, 2.5 |],
+    runnable_sets ~n:7 ~steps:golden_steps [ 6, 12_000 ] )
+
+(* [World.run_shard]'s policy for shard 0 of the default world, with each
+   churn leaver dropping out of the runnable set at its leave step. *)
+let world_case () =
+  let open Tbwf_world in
+  let c = World.default in
+  let churn = World.churn_schedule c ~shard:0 in
+  let atoms =
+    List.map
+      (fun (pid, at, retires) ->
+        if retires then Tbwf_nemesis.Fault_plan.Retire { pid; at }
+        else Tbwf_nemesis.Fault_plan.Crash { pid; at })
+      churn.World.ch_leaves
+  in
+  let plan =
+    Tbwf_nemesis.Fault_plan.make ~n:c.World.n ~horizon:c.World.horizon atoms
+  in
+  ( Tbwf_nemesis.Fault_plan.policy plan,
+    runnable_sets ~n:c.World.n ~steps:golden_steps
+      (List.map (fun (pid, at, _) -> pid, at) churn.World.ch_leaves) )
+
+(* One character per pick (the pid, or '.' for an idle step), 100 picks
+   per line behind the first line's step number. *)
+let render name (policy, sets) =
+  let buf = Buffer.create (golden_steps * 11 / 10) in
+  Buffer.add_string buf ("== " ^ name);
+  let rng = Rng.create 17L in
+  Array.iteri
+    (fun step runnable ->
+      if step mod 100 = 0 then Buffer.add_string buf (Fmt.str "\n%6d " step);
+      match Policy.next policy ~step ~runnable ~rng with
+      | None -> Buffer.add_char buf '.'
+      | Some p when p >= 0 && p < 10 -> Buffer.add_char buf (Char.chr (48 + p))
+      | Some p -> Alcotest.failf "%s: pid %d does not fit the golden" name p)
+    sets;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let schedule_golden_path () =
+  List.find_opt Sys.file_exists
+    [ "golden/policy_schedules.txt"; "test/golden/policy_schedules.txt" ]
+  |> function
+  | Some p -> p
+  | None -> Alcotest.fail "golden/policy_schedules.txt not found"
+
+let test_schedule_golden () =
+  let actual =
+    render "mixed" (mixed_case ())
+    ^ render "weighted" (weighted_case ())
+    ^ render "world-churn" (world_case ())
+  in
+  let expected =
+    In_channel.with_open_bin (schedule_golden_path ()) In_channel.input_all
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "policy_schedules.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    let lines = String.split_on_char '\n' in
+    let rec first_diff = function
+      | e :: es, a :: as_ when e = a -> first_diff (es, as_)
+      | e :: _, a :: _ ->
+        Alcotest.failf "picks differ:\n  golden %s\n  actual %s" e a
+      | _ -> Alcotest.fail "schedule golden length differs"
+    in
+    first_diff (lines expected, lines actual)
+  end
+
+(* Picks are on every world step, so their allocation is gated exactly:
+   [Gc.minor_words] is a deterministic count. The pick function is taken
+   out of the policy once, as a release build does when it inlines
+   [Policy.next]: applying [Policy.next] to all four arguments through an
+   opaque module boundary (dune's dev profile) allocates by itself. *)
+let test_pick_allocation () =
+  let policy, sets = world_case () in
+  let next = Policy.next policy in
+  let rng = Rng.create 17L in
+  let picks = 10_000 in
+  let before = Gc.minor_words () in
+  for step = 0 to picks - 1 do
+    ignore (next ~step ~runnable:sets.(step) ~rng)
+  done;
+  let per_pick = (Gc.minor_words () -. before) /. float_of_int picks in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f minor words per pick <= 8" per_pick)
+    true (per_pick <= 8.0)
+
 let () =
   Alcotest.run "policy"
     [
@@ -212,5 +362,10 @@ let () =
           Alcotest.test_case "replay strict faithful" `Quick
             test_replay_strict_faithful;
           Alcotest.test_case "solo_after" `Quick test_solo_after;
+        ] );
+      ( "of_patterns",
+        [
+          Alcotest.test_case "schedule golden" `Quick test_schedule_golden;
+          Alcotest.test_case "pick allocation" `Quick test_pick_allocation;
         ] );
     ]

@@ -163,6 +163,52 @@ let test_span_contention () =
     | _ -> Alcotest.fail "contention should be an object")
   | _ -> Alcotest.fail "span json should be an object"
 
+(* Contention marking against a direct model: each span in flight on an
+   object becomes contended whenever an invoke on that object finds
+   another operation in flight. Events are (is_invoke, pid, obj); a
+   respond closes the pid's newest open span on the object, if any. *)
+let model_contended_spans events =
+  let spans = ref [] (* (pid, obj, contended), newest first *) in
+  let contended = ref 0 in
+  List.iter
+    (fun (invoke, pid, obj) ->
+      if invoke then begin
+        spans := (pid, obj, ref false) :: !spans;
+        let in_flight = List.filter (fun (_, o, _) -> o = obj) !spans in
+        if List.length in_flight >= 2 then
+          List.iter (fun (_, _, c) -> c := true) in_flight
+      end
+      else
+        match List.find_opt (fun (p, o, _) -> p = pid && o = obj) !spans with
+        | None -> ()
+        | Some ((_, _, c) as sp) ->
+          spans := List.filter (fun s -> s != sp) !spans;
+          if !c then incr contended)
+    events;
+  !contended
+
+let qcheck_span_contention_model =
+  QCheck.Test.make ~name:"contended spans match the in-flight model"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 60) (triple bool (int_range 0 2) (int_range 0 2)))
+    (fun events ->
+      let sp = Span.create ~n:3 in
+      List.iteri
+        (fun step (invoke, pid, obj_id) ->
+          if invoke then Span.on_invoke sp ~pid ~obj_id ~step
+          else
+            Span.on_respond sp ~pid ~layer:Sink.App ~obj_id ~step ~aborted:false)
+        events;
+      match Span.to_json sp with
+      | Json.Obj fields -> (
+        match List.assoc "contention" fields with
+        | Json.Obj c ->
+          List.assoc "contended_spans" c
+          = Json.Int (model_contended_spans events)
+        | _ -> false)
+      | _ -> false)
+
 let test_span_orphan_respond () =
   let sp = Span.create ~n:1 in
   (* A respond with no recorded invoke (collector attached mid-run) is
@@ -458,6 +504,7 @@ let () =
           Alcotest.test_case "latency and streaks" `Quick
             test_span_latency_and_streaks;
           Alcotest.test_case "contention windows" `Quick test_span_contention;
+          QCheck_alcotest.to_alcotest qcheck_span_contention_model;
           Alcotest.test_case "orphan respond ignored" `Quick
             test_span_orphan_respond;
         ] );
