@@ -66,15 +66,11 @@ let run_shard ~shard ~n ~horizon ~every ~window ~retain ~master_seed =
   let rt = stack.Tbwf_system.System.rt in
   let telemetry = Option.get stack.Tbwf_system.System.telemetry in
   Fault_plan.install_crashes plan rt;
-  (* Same tail boundary and floor as Campaign.run_plan; the verdict comes
-     from the online checker alone, since trace recording is off. *)
-  let snap =
-    max (Fault_plan.settle_step plan) (horizon - (horizon / 4))
+  (* The verdict comes from the online checker alone, since trace
+     recording is off. *)
+  let _, prediction, min_ops =
+    Campaign.tail_contract ~substrate:Tbwf_system.System.Shared_memory plan
   in
-  let prediction =
-    { (Fault_plan.prediction plan) with Degradation.pred_from = snap }
-  in
-  let min_ops = Campaign.required_tail_ops ~n ~tail:(horizon - snap) in
   let online = Degradation.Online.create ~min_ops prediction in
   let tm = Tail_monitor.create ~n ~window:every () in
   (* Tee order fixes what each record sees: the monitor (first) has
@@ -195,74 +191,72 @@ let aggregate ~n ~horizon ~every ~shards results =
     ]
 
 let soak shards steps every window retain n seed jobs =
-  if shards < 1 then begin
-    Fmt.epr "--shards must be positive@.";
+  let every = match every with Some e -> e | None -> max 1 (steps / 8) in
+  match
+    List.find_opt fst
+      [
+        shards < 1, "--shards";
+        steps < 1, "--steps";
+        every < 1, "--every";
+        window < 1, "--window";
+        retain < 1, "--retain";
+      ]
+  with
+  | Some (_, flag) ->
+    Fmt.epr "%s must be positive@." flag;
     2
-  end
-  else if steps < 1 then begin
-    Fmt.epr "--steps must be positive@.";
-    2
-  end
-  else begin
-    let every = match every with Some e -> e | None -> max 1 (steps / 8) in
-    if every < 1 then begin
-      Fmt.epr "--every must be positive@.";
-      2
-    end
-    else begin
-      let master_seed = Int64.of_int seed in
-      let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
-      let start = Unix.gettimeofday () in
-      let results =
-        Tbwf_parallel.Pool.map pool
-          (Array.init shards (fun i -> i))
-          (fun shard ->
-            run_shard ~shard ~n ~horizon:steps ~every ~window ~retain
-              ~master_seed)
-        |> Array.to_list
-      in
-      let wall = Unix.gettimeofday () -. start in
-      (* rss is the process VmHWM when the shard finished — the shard
-         whose line first shows a jump is the one that pushed the
-         high-water mark *)
-      List.iter
+  | None ->
+    let master_seed = Int64.of_int seed in
+    let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
+    let start = Unix.gettimeofday () in
+    let results =
+      Tbwf_parallel.Pool.map pool
+        (Array.init shards (fun i -> i))
+        (fun shard ->
+          run_shard ~shard ~n ~horizon:steps ~every ~window ~retain
+            ~master_seed)
+      |> Array.to_list
+    in
+    let wall = Unix.gettimeofday () -. start in
+    (* rss is the process VmHWM when the shard finished — the shard
+       whose line first shows a jump is the one that pushed the
+       high-water mark *)
+    List.iter
+      (fun r ->
+        print_string r.sr_jsonl;
+        Fmt.epr "shard %2d %-16s %-12s %s %6.2fs%s@." r.sr_shard
+          (Campaign.system_name r.sr_system)
+          r.sr_campaign
+          (if r.sr_verdict.Tbwf_check.Degradation.holds then "holds"
+           else "fails")
+          r.sr_seconds
+          (match r.sr_rss_kb with
+          | Some kb -> Fmt.str " rss %d kB" kb
+          | None -> ""))
+      results;
+    let agg = aggregate ~n ~horizon:steps ~every ~shards results in
+    print_string (Json.to_string agg);
+    print_newline ();
+    let total_ops =
+      List.fold_left
+        (fun acc r ->
+          acc
+          + Array.fold_left ( + ) 0
+              (Collector.app_completed r.sr_telemetry))
+        0 results
+    in
+    Fmt.epr "%d shards x %d steps in %.2fs wall (%.0f steps/s, %.0f ops/s)@."
+      shards steps wall
+      (float_of_int (shards * steps) /. wall)
+      (float_of_int total_ops /. wall);
+    let all_ok =
+      List.for_all
         (fun r ->
-          print_string r.sr_jsonl;
-          Fmt.epr "shard %2d %-16s %-12s %s %6.2fs%s@." r.sr_shard
-            (Campaign.system_name r.sr_system)
-            r.sr_campaign
-            (if r.sr_verdict.Tbwf_check.Degradation.holds then "holds"
-             else "fails")
-            r.sr_seconds
-            (match r.sr_rss_kb with
-            | Some kb -> Fmt.str " rss %d kB" kb
-            | None -> ""))
-        results;
-      let agg = aggregate ~n ~horizon:steps ~every ~shards results in
-      print_string (Json.to_string agg);
-      print_newline ();
-      let total_ops =
-        List.fold_left
-          (fun acc r ->
-            acc
-            + Array.fold_left ( + ) 0
-                (Collector.app_completed r.sr_telemetry))
-          0 results
-      in
-      Fmt.epr "%d shards x %d steps in %.2fs wall (%.0f steps/s, %.0f ops/s)@."
-        shards steps wall
-        (float_of_int (shards * steps) /. wall)
-        (float_of_int total_ops /. wall);
-      let all_ok =
-        List.for_all
-          (fun r ->
-            r.sr_verdict.Tbwf_check.Degradation.holds
-            = not r.sr_expected_fail)
-          results
-      in
-      if all_ok then 0 else 1
-    end
-  end
+          r.sr_verdict.Tbwf_check.Degradation.holds
+          = not r.sr_expected_fail)
+        results
+    in
+    if all_ok then 0 else 1
 
 (* --- cmdliner wiring ------------------------------------------------------ *)
 

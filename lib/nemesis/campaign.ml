@@ -54,8 +54,25 @@ let required_tail_ops = Degradation.required_tail_ops
    substrate's own pace", not at shared memory's). *)
 let net_cost_factor = 4
 
-let net_required_tail_ops ~n ~tail =
-  max 2 (required_tail_ops ~n ~tail / net_cost_factor)
+(* Tail = the last quarter of the horizon, pushed later if the plan
+   settles later than that: the contract is "keeps progressing after the
+   last fault", and the tail must leave the recovered system room to
+   demonstrate it. The floor scales with the substrate's cost factor. *)
+let tail_contract ~substrate plan =
+  let n = Fault_plan.n plan in
+  let horizon = Fault_plan.horizon plan in
+  let from = max (Fault_plan.settle_step plan) (horizon - (horizon / 4)) in
+  let prediction =
+    { (Fault_plan.prediction plan) with Degradation.pred_from = from }
+  in
+  let tail = horizon - from in
+  let min_ops =
+    match substrate with
+    | System.Shared_memory -> required_tail_ops ~n ~tail
+    | System.Message_passing _ ->
+      max 2 (required_tail_ops ~n ~tail / net_cost_factor)
+  in
+  from, prediction, min_ops
 
 (* Align a plan and a substrate choice: on message passing the plan must
    know the replica count (its compiled policy schedules the replica
@@ -113,23 +130,8 @@ let run_plan ?substrate ?(seed = default_seed) ?min_ops ?stream
   let stats = stack.System.stats in
   Fault_plan.install_crashes plan rt;
   let policy = Fault_plan.policy plan in
-  (* Tail = the last quarter of the horizon, pushed later if the plan
-     settles later than that: the contract is "keeps progressing after the
-     last fault", and the tail must leave the recovered system room to
-     demonstrate it. *)
-  let snap = max (Fault_plan.settle_step plan) (horizon - (horizon / 4)) in
-  let prediction =
-    { (Fault_plan.prediction plan) with Degradation.pred_from = snap }
-  in
-  let min_ops =
-    match min_ops with
-    | Some m -> m
-    | None -> (
-      match substrate with
-      | System.Shared_memory -> required_tail_ops ~n ~tail:(horizon - snap)
-      | System.Message_passing _ ->
-        net_required_tail_ops ~n ~tail:(horizon - snap))
-  in
+  let snap, prediction, default_min_ops = tail_contract ~substrate plan in
+  let min_ops = Option.value min_ops ~default:default_min_ops in
   (* The tail boundary and floor are plan-derived, so the online checker
      can be armed before the first step; it shares the run's event stream
      with the collector through a tee. *)

@@ -139,6 +139,18 @@ val net_cost_factor : int
     horizons stretch by it and the tail-rate floor divides by it, so
     verdicts measure degradation against the substrate's own pace. *)
 
+val tail_contract :
+  substrate:Tbwf_system.System.substrate ->
+  Fault_plan.t ->
+  int * Tbwf_check.Degradation.prediction * int
+(** [(from, prediction, min_ops)]: the verdict's tail for [plan] starts
+    at step [from] — the last quarter of the horizon, or the plan's
+    settle step if that is later — [prediction] is the plan's prediction
+    with [pred_from = from], and [min_ops] is the default rate floor
+    over that tail ({!required_tail_ops}, divided by {!net_cost_factor}
+    on a message-passing substrate, at least 2). The one definition
+    {!run_plan}, [tbwf_soak] and the world layer share. *)
+
 val substrate_dimensions :
   ?substrate:Tbwf_system.System.substrate -> quick:bool -> unit -> int * int
 (** {!dimensions}, with the horizon scaled by {!net_cost_factor} on a

@@ -71,7 +71,7 @@ val stream_flush : t -> unit
 
 val merge : t -> t -> t
 (** Fresh collector combining two finished runs' aggregates: counters and
-    arrays sum, histograms merge bucket-wise, rate series merge
+    arrays sum, sketches merge bucket-wise, rate series merge
     cell-wise, and event lists (handoffs, crashes) interleave by step
     with ties broken left-first — commutative up to those ties, so a left
     fold in task-index order is order-fixed and domain-count-independent.
@@ -89,9 +89,6 @@ val merge_all : t list -> t
 val n : t -> int
 val window : t -> int
 val retain : t -> int option
-
-val registry : t -> Metrics.t
-(** Caller-defined metrics, exported under ["custom"]. *)
 
 val spans : t -> Span.t
 val app_ops : t -> Series.t
@@ -127,7 +124,7 @@ val crash_count : t -> int
 
 val retire_count : t -> int
 (** Graceful membership leaves ({!Tbwf_sim.Sink.Retire}) observed so far.
-    Deliberately not part of the [tbwf-telemetry/v1] snapshot — churn
+    Deliberately not part of the {!snapshot} — churn
     aggregates live in the world layer's [tbwf-world/v1] schema. *)
 
 val register_abort_decisions : t -> int
@@ -139,12 +136,13 @@ val net_sent : t -> int
 val net_dropped : t -> int
 (** Of {!net_sent}, how many were lost (partition cut or loss draw). *)
 
-val net_latency : t -> Hist.t
+val net_latency : t -> Quantile.t
 (** Assigned one-way delays of the delivered messages, in steps. *)
 
 (** {2 Output} *)
 
 val schema_version : string
+(** ["tbwf-telemetry/v3"]. *)
 
 val snapshot : t -> Json.t
 (** The full deterministic snapshot (schema {!schema_version}). *)

@@ -15,14 +15,20 @@ let subs = 1 lsl sub_bits (* 16 linear sub-buckets per power of two *)
 (* Exponents 4..61 cover every OCaml int the simulator can produce. *)
 let n_buckets = subs + ((61 - sub_bits + 1) * subs)
 
+(* [buckets] covers only the buckets up to the largest one observed so
+   far and grows on demand: step-valued data rarely leaves the first few
+   hundred buckets, and a world holds several sketches per shard. A
+   bucket past the end holds 0. *)
 type t = {
   mutable count : int;
   mutable sum : int;
   mutable max : int;
-  buckets : int array;
+  mutable buckets : int array;
 }
 
-let create () = { count = 0; sum = 0; max = 0; buckets = Array.make n_buckets 0 }
+let create () = { count = 0; sum = 0; max = 0; buckets = [||] }
+
+let bucket t i = if i < Array.length t.buckets then t.buckets.(i) else 0
 
 let log2 v =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
@@ -50,6 +56,12 @@ let observe t v =
   t.sum <- t.sum + v;
   if v > t.max then t.max <- v;
   let b = bucket_of v in
+  let len = Array.length t.buckets in
+  if b >= len then begin
+    let buckets = Array.make (Int.min n_buckets (Int.max (b + 1) (2 * len))) 0 in
+    Array.blit t.buckets 0 buckets 0 len;
+    t.buckets <- buckets
+  end;
   t.buckets.(b) <- t.buckets.(b) + 1
 
 let count t = t.count
@@ -71,7 +83,7 @@ let quantile t q =
     let acc = ref 0 in
     let result = ref t.max in
     (try
-       for i = 0 to n_buckets - 1 do
+       for i = 0 to Array.length t.buckets - 1 do
          acc := !acc + t.buckets.(i);
          if !acc >= rank then begin
            result := bucket_hi i;
@@ -93,12 +105,16 @@ let merge a b =
     count = a.count + b.count;
     sum = a.sum + b.sum;
     max = max a.max b.max;
-    buckets = Array.init n_buckets (fun i -> a.buckets.(i) + b.buckets.(i));
+    buckets =
+      Array.init
+        (Int.max (Array.length a.buckets) (Array.length b.buckets))
+        (fun i -> bucket a i + bucket b i);
   }
 
 let equal a b =
-  a.count = b.count && a.sum = b.sum && a.max = b.max
-  && Array.for_all2 ( = ) a.buckets b.buckets
+  let len = Int.max (Array.length a.buckets) (Array.length b.buckets) in
+  let rec same i = i >= len || (bucket a i = bucket b i && same (i + 1)) in
+  a.count = b.count && a.sum = b.sum && a.max = b.max && same 0
 
 let to_json t =
   Json.Obj

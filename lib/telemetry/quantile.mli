@@ -4,7 +4,8 @@
     tracked exactly, larger values fall into 16 linear sub-buckets per
     power-of-two range, so every reported quantile is an upper bound on
     the true quantile with relative error at most 1/16 (6.25%). The
-    sketch is seed-free and fixed-size (≤ {!n_buckets} counters);
+    sketch is seed-free and bounded (≤ {!n_buckets} counters, allocated
+    up to the largest bucket observed);
     observation order never matters, and {!merge} is exact element-wise
     addition — associative and commutative — so sketches are byte-stable
     under {!Collector.merge}'s canonical-order fan-out. *)

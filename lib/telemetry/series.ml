@@ -152,17 +152,6 @@ let merge a b =
     { window = a.window; n = a.n; retain = Some r; rows; windows; first_kept;
       evicted }
 
-let copy t =
-  {
-    window = t.window;
-    n = t.n;
-    retain = t.retain;
-    rows = Array.map Array.copy t.rows;
-    windows = t.windows;
-    first_kept = t.first_kept;
-    evicted = Array.copy t.evicted;
-  }
-
 let row t ~pid =
   (* Zero-padded to the global width; in bounded mode evicted windows
      read as zero (their counts live only in the totals). *)

@@ -37,9 +37,6 @@ val merge : t -> t -> t
     later [first_kept]; cells only one side still held fold into the
     evicted totals. *)
 
-val copy : t -> t
-(** Independent deep copy. *)
-
 val row : t -> pid:int -> int array
 (** Per-window counts for [pid], zero-padded to {!windows} columns. *)
 

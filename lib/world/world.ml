@@ -66,7 +66,12 @@ let validate c =
   (match c.every with
   | Some e when e < 1 -> fail "every must be positive (got %d)" e
   | _ -> ());
-  if c.systems = [] then fail "systems must be non-empty"
+  if c.window < 1 then fail "window must be positive (got %d)" c.window;
+  (match c.retain with
+  | Some r when r < 1 -> fail "retain must be positive (got %d)" r
+  | _ -> ());
+  if c.systems = [] then fail "systems must be non-empty";
+  Workload.Open_loop.validate c.profile
 
 let shard_system c ~shard =
   let systems = Array.of_list c.systems in
@@ -175,20 +180,8 @@ let run_shard c ~shard =
            ~until:c.horizon ~op_of_key))
     churn.ch_joins;
   Fault_plan.install_crashes plan rt;
-  (* Same tail boundary and floor as Campaign.run_plan, with the network
-     substrate's cost factor folded into the floor the same way. *)
-  let snap =
-    max (Fault_plan.settle_step plan) (c.horizon - (c.horizon / 4))
-  in
-  let prediction =
-    { (Fault_plan.prediction plan) with Degradation.pred_from = snap }
-  in
-  let tail = c.horizon - snap in
-  let min_ops =
-    match c.substrate with
-    | System.Shared_memory -> Campaign.required_tail_ops ~n:c.n ~tail
-    | System.Message_passing _ ->
-      max 2 (Campaign.required_tail_ops ~n:c.n ~tail / Campaign.net_cost_factor)
+  let _, prediction, min_ops =
+    Campaign.tail_contract ~substrate:c.substrate plan
   in
   let online = Degradation.Online.create ~min_ops prediction in
   Runtime.set_sink rt

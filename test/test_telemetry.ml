@@ -4,28 +4,6 @@ open Tbwf_objects
 open Tbwf_experiments
 open Tbwf_telemetry
 
-(* --- Hist ---------------------------------------------------------------- *)
-
-let test_hist_buckets () =
-  List.iter
-    (fun (v, b) ->
-      Alcotest.(check int) (Fmt.str "bucket_of %d" v) b (Hist.bucket_of v))
-    [ 0, 0; 1, 1; 2, 2; 3, 2; 4, 3; 7, 3; 8, 4; 1023, 10; 1024, 11 ];
-  Alcotest.(check int) "bucket_lo 0" 0 (Hist.bucket_lo 0);
-  Alcotest.(check int) "bucket_lo 1" 1 (Hist.bucket_lo 1);
-  Alcotest.(check int) "bucket_lo 4" 8 (Hist.bucket_lo 4)
-
-let test_hist_stats () =
-  let h = Hist.create () in
-  List.iter (Hist.observe h) [ 0; 1; 1; 2; 4; 100 ];
-  Alcotest.(check int) "count" 6 (Hist.count h);
-  Alcotest.(check (float 1e-9)) "mean" 18.0 (Hist.mean h);
-  Alcotest.(check bool) "p50 bound covers median" true
-    (Hist.quantile_bound h 0.5 >= 1);
-  Alcotest.(check int) "p99 bound is max" 100 (Hist.quantile_bound h 0.99);
-  Hist.observe h (-5);
-  Alcotest.(check int) "negative clamps to zero bucket" 7 (Hist.count h)
-
 (* --- Series -------------------------------------------------------------- *)
 
 let test_series_windows () =
@@ -65,6 +43,7 @@ let test_quantile_exact_small () =
   done;
   Alcotest.(check int) "count" 16 (Quantile.count q);
   Alcotest.(check int) "max" 15 (Quantile.max_value q);
+  Alcotest.(check (float 1e-9)) "mean" 7.5 (Quantile.mean q);
   (* values 0..15 live in exact buckets: every quantile is exact *)
   Alcotest.(check int) "p50 exact" 7 (Quantile.quantile q 0.5);
   Alcotest.(check int) "p999 is max" 15 (Quantile.p999 q);
@@ -117,9 +96,9 @@ let test_span_latency_and_streaks () =
   Span.on_invoke sp ~pid:0 ~obj_id:1 ~step:0;
   Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:1 ~step:5 ~aborted:false;
   Alcotest.(check int) "completed" 1 (Span.completed sp);
-  let lat = Span.latency_of sp Sink.App in
-  Alcotest.(check int) "latency count" 1 (Hist.count lat);
-  Alcotest.(check (float 1e-9)) "latency mean" 5.0 (Hist.mean lat);
+  let lat = Span.tail_of sp Sink.App in
+  Alcotest.(check int) "latency count" 1 (Quantile.count lat);
+  Alcotest.(check (float 1e-9)) "latency mean" 5.0 (Quantile.mean lat);
   (* Three aborts then a success: one streak of length 3. *)
   List.iter
     (fun step ->
@@ -139,7 +118,7 @@ let test_span_latency_and_streaks () =
         (List.assoc "count" h = Json.Int 1);
       Alcotest.(check bool) "streak length 3" true
         (List.assoc "max" h = Json.Int 3)
-    | _ -> Alcotest.fail "abort_streaks should be a histogram object")
+    | _ -> Alcotest.fail "abort_streaks should be a sketch object")
   | _ -> Alcotest.fail "span json should be an object"
 
 let test_span_contention () =
@@ -404,7 +383,7 @@ let test_merge_net_section () =
       Alcotest.(check int) "sent sums" 2 (Collector.net_sent m);
       Alcotest.(check int) "dropped sums" 1 (Collector.net_dropped m);
       Alcotest.(check int) "only delivered latencies" 1
-        (Hist.count (Collector.net_latency m)))
+        (Quantile.count (Collector.net_latency m)))
     [ Collector.merge sm mp; Collector.merge mp sm ]
 
 (* --- v2 stream schema golden ---------------------------------------------- *)
@@ -481,11 +460,6 @@ let test_bounded_live_words () =
 let () =
   Alcotest.run "telemetry"
     [
-      ( "hist",
-        [
-          Alcotest.test_case "log2 buckets" `Quick test_hist_buckets;
-          Alcotest.test_case "stats" `Quick test_hist_stats;
-        ] );
       ( "series",
         [
           Alcotest.test_case "windows" `Quick test_series_windows;

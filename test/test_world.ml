@@ -441,6 +441,24 @@ let test_world_schedule_stable () =
   let c = World.churn_schedule small_world ~shard:4 in
   Alcotest.(check bool) "shard-dependent" true (a <> c)
 
+let test_world_validate_rejects () =
+  let profile = World.default.World.profile in
+  List.iter
+    (fun (label, c) ->
+      match World.validate c with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s accepted" label)
+    [
+      "window 0", { World.default with World.window = 0 };
+      "retain 0", { World.default with World.retain = Some 0 };
+      ( "keys 0",
+        { World.default with profile = { profile with keys = 0 } } );
+      ( "mean_gap 0",
+        { World.default with profile = { profile with mean_gap = 0.0 } } );
+      ( "zipf -1",
+        { World.default with profile = { profile with zipf = -1.0 } } );
+    ]
+
 (* --- CLI byte-identity across --jobs -------------------------------------- *)
 
 let exe_path name =
@@ -520,6 +538,8 @@ let () =
           Alcotest.test_case "stable schedules" `Quick
             test_world_schedule_stable;
           Alcotest.test_case "schema pinned" `Quick test_world_schema_pinned;
+          Alcotest.test_case "validate rejects bad configs" `Quick
+            test_world_validate_rejects;
           Alcotest.test_case "--jobs byte-identity" `Quick
             test_world_jobs_byte_identity;
         ] );
