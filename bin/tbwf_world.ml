@@ -1,11 +1,15 @@
-(* World CLI: many independent cells under open-loop traffic with client
-   churn — the sharded front-end over lib/world.
+(* World CLI: the one sharded front-end over lib/world. --cells churn
+   (the default) runs independent cells under open-loop traffic with
+   client churn; --cells catalogue runs (system, campaign) cells from the
+   nemesis catalogue at long horizons with online verdicts, streaming a
+   tail monitor's state alongside each record.
 
-   Output contract, same shape as tbwf_soak: stdout carries the
-   deterministic artifact — every shard's JSONL stream in shard order
-   (when --every is given), then one tbwf-world/v1 aggregate record —
-   and is byte-identical for any --jobs value. Wall-clock throughput,
-   per-shard timings and peak-RSS diagnostics go to stderr only.
+   Output contract: stdout carries the deterministic artifact — every
+   shard's JSONL stream in shard order (when --every is given), then one
+   tbwf-world/v2 aggregate record — and is byte-identical for any --jobs
+   value. Wall-clock throughput, per-shard timings and peak-RSS
+   diagnostics go to stderr only. Exit 0 iff every shard's verdict
+   matches its cell's prediction.
 
    Memory is bounded by construction: lib/world folds each shard's
    collector into a running merge and drops it, so a
@@ -16,27 +20,36 @@ open Cmdliner
 open Tbwf_check
 open Tbwf_telemetry
 module System = Tbwf_system.System
+module Campaign = Tbwf_nemesis.Campaign
 module World = Tbwf_world.World
 
 let substrate_of = function
   | `Shared_memory -> System.Shared_memory
   | `Message_passing -> System.Message_passing Tbwf_net.Net.default_config
 
-let world shards n joiners leavers retire_fraction steps every window retain
-    mean_gap keys zipf substrate system seed jobs =
+let world cells shards n joiners leavers retire_fraction steps every window
+    retain mean_gap keys zipf substrate system seed jobs =
   let systems =
-    match system with
-    | None -> System.paper_systems
-    | Some name -> (
+    match system, cells with
+    | None, World.Churn -> System.paper_systems
+    | None, World.Catalogue -> System.all
+    | Some name, _ -> (
       match System.of_string name with
       | Ok sys -> [ sys ]
       | Error msg ->
         Fmt.epr "--system: %s@." msg;
         exit 2)
   in
+  let steps =
+    match steps, cells with
+    | Some steps, _ -> steps
+    | None, World.Churn -> World.default.World.horizon
+    | None, World.Catalogue -> snd (Campaign.dimensions ~quick:true)
+  in
   let config =
     {
-      World.shards;
+      World.cells;
+      shards;
       n;
       joiners;
       leavers;
@@ -65,14 +78,20 @@ let world shards n joiners leavers retire_fraction steps every window retain
     let on_shard (r : World.shard_result) =
       print_string r.World.ws_jsonl;
       incr done_shards;
-      if chatty then
-        Fmt.epr "shard %4d %-16s %s joins=%d leaves=%d ops=%d %6.2fs@."
-          r.World.ws_shard
+      if chatty then begin
+        let holds = r.World.ws_verdict.Degradation.holds in
+        Fmt.epr "shard %4d %-16s %s%s %s ops=%d %6.2fs@." r.World.ws_shard
           (System.to_string r.World.ws_system)
-          (if r.World.ws_verdict.Degradation.holds then "holds" else "fails")
-          (List.length r.World.ws_churn.World.ch_joins)
-          (List.length r.World.ws_churn.World.ch_leaves)
+          (if holds then "holds" else "fails")
+          (if holds = r.World.ws_expect_holds then "" else " [!]")
+          (match r.World.ws_campaign with
+          | Some campaign -> Campaign.name campaign
+          | None ->
+            Fmt.str "joins=%d leaves=%d"
+              (List.length r.World.ws_churn.World.ch_joins)
+              (List.length r.World.ws_churn.World.ch_leaves))
           r.World.ws_completed r.World.ws_seconds
+      end
       else if !done_shards mod 1024 = 0 then
         Fmt.epr "world %6d/%d shards %7.1fs%s@." !done_shards shards
           (Unix.gettimeofday () -. start)
@@ -93,9 +112,21 @@ let world shards n joiners leavers retire_fraction steps every window retain
       (match Resource.peak_rss_kb () with
       | Some kb -> Fmt.str ", peak-rss %d kB" kb
       | None -> "");
-    if summary.World.sum_all_hold then 0 else 1
+    if summary.World.sum_as_predicted then 0 else 1
 
 (* --- cmdliner wiring ------------------------------------------------------ *)
+
+let cells_arg =
+  Arg.(value
+       & opt (enum [ "churn", World.Churn; "catalogue", World.Catalogue ])
+           World.Churn
+       & info [ "cells" ] ~docv:"KIND"
+           ~doc:"What each shard runs: churn (open-loop KV traffic under \
+                 drawn joins and leaves) or catalogue (shard i runs \
+                 system (i mod |systems|) under nemesis catalogue \
+                 campaign ((i / |systems|) mod 6), with the stock \
+                 closed-loop counter clients; exit 0 iff every verdict \
+                 matches the campaign's prediction).")
 
 let shards_arg =
   Arg.(value & opt int 8
@@ -127,8 +158,11 @@ let retire_fraction_arg =
                  crashing.")
 
 let steps_arg =
-  Arg.(value & opt int 24_000
-       & info [ "steps" ] ~docv:"STEPS" ~doc:"Horizon per shard, in steps.")
+  Arg.(value & opt (some int) None
+       & info [ "steps" ] ~docv:"STEPS"
+           ~doc:"Horizon per shard, in steps (default: 24000 for churn \
+                 cells, the quick campaign horizon 96000 for catalogue \
+                 cells).")
 
 let every_arg =
   Arg.(value & opt (some int) None
@@ -179,7 +213,8 @@ let system_arg =
   Arg.(value & opt (some string) None
        & info [ "system" ] ~docv:"NAME"
            ~doc:"Run every shard on one system instead of cycling the \
-                 paper systems.")
+                 paper systems (churn cells) or all five systems \
+                 (catalogue cells).")
 
 let seed_arg =
   Arg.(value & opt int 0x574C
@@ -193,14 +228,14 @@ let jobs_arg =
 
 let cmd =
   let doc =
-    "sharded world runs: many independent cells under open-loop \
+    "sharded world runs: many independent cells — open-loop \
      Poisson/Zipf traffic with mid-run client churn (joins, graceful \
-     retires, crashes), aggregated into one tbwf-world/v1 record at \
-     bounded memory"
+     retires, crashes), or the nemesis catalogue's fault classes — \
+     aggregated into one tbwf-world/v2 record at bounded memory"
   in
   Cmd.v (Cmd.info "tbwf_world" ~doc)
     Term.(
-      const world $ shards_arg $ n_arg $ joiners_arg $ leavers_arg
+      const world $ cells_arg $ shards_arg $ n_arg $ joiners_arg $ leavers_arg
       $ retire_fraction_arg $ steps_arg $ every_arg $ window_arg $ retain_arg
       $ mean_gap_arg $ keys_arg $ zipf_arg $ substrate_arg $ system_arg
       $ seed_arg $ jobs_arg)

@@ -162,6 +162,6 @@ val min_timely_tail_ops : verdict -> int option
 val process_json : process_verdict -> Tbwf_telemetry.Json.t
 val verdict_json : verdict -> Tbwf_telemetry.Json.t
 (** Canonical JSON rendering of a verdict — what the streaming telemetry
-    records and the soak CLI embed. *)
+    records and the world layer embed. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -111,7 +111,7 @@ let full_tbwf_ops_telemetry steps () =
   Runtime.run stack.Scenario.rt ~policy:(Policy.round_robin ()) ~steps;
   Runtime.stop stack.Scenario.rt
 
-(* The full streaming configuration tbwf_soak runs: collector plus the
+(* The full streaming configuration a streaming world shard runs: collector plus the
    windowed tail-rate monitor plus the online degradation checker in one
    sink tee, with a v2 record emitted (and dropped) every 2 500 steps.
    The ratio against [full_tbwf_ops] is the cost of watching a run while

@@ -149,7 +149,7 @@ val tail_contract :
     with [pred_from = from], and [min_ops] is the default rate floor
     over that tail ({!required_tail_ops}, divided by {!net_cost_factor}
     on a message-passing substrate, at least 2). The one definition
-    {!run_plan}, [tbwf_soak] and the world layer share. *)
+    {!run_plan} and the world layer share. *)
 
 val substrate_dimensions :
   ?substrate:Tbwf_system.System.substrate -> quick:bool -> unit -> int * int

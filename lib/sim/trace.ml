@@ -38,7 +38,7 @@ let res_invoke = 1
 
 type t = {
   mutable enabled : bool;
-      (* long-horizon runs (tbwf_soak) disable recording entirely: even
+      (* long-horizon runs (world shards) disable recording entirely: even
          off-heap Bigarrays grow ~8 bytes/step, which a memory-bounded
          multi-10M-step run cannot afford. A disabled trace stays empty. *)
   mutable steps : ints;  (* steps.{i} = pid of step i *)

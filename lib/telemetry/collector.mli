@@ -125,7 +125,7 @@ val crash_count : t -> int
 val retire_count : t -> int
 (** Graceful membership leaves ({!Tbwf_sim.Sink.Retire}) observed so far.
     Deliberately not part of the {!snapshot} — churn
-    aggregates live in the world layer's [tbwf-world/v1] schema. *)
+    aggregates live in the world layer's [tbwf-world/v2] schema. *)
 
 val register_abort_decisions : t -> int
 

@@ -368,8 +368,8 @@ let test_merge_empty_collectors () =
     (fun () -> ignore (Collector.merge a (Collector.create ~n:3 ())))
 
 (* Merging a shared-memory collector (no net events, zero counters) with
-   a message-passing one must keep the net section additive — the soak
-   aggregate merges whatever shards a system ran on. *)
+   a message-passing one must keep the net section additive — the world
+   aggregate merges whatever shards a run holds. *)
 let test_merge_net_section () =
   let sm = Collector.create ~n:2 () in
   let mp = Collector.create ~n:2 () in
@@ -432,8 +432,8 @@ let test_stream_schema_pinned () =
 (* The long-horizon configuration (no trace recording, a retained rate
    series, capped event lists, fixed-size sketches) must hold the
    collector's live words flat: 10x the steps, no growth. This is the
-   invariant that lets tbwf_soak run tens of millions of steps in a few
-   dozen MB. *)
+   invariant that lets a catalogue world run tens of millions of steps
+   in a few dozen MB. *)
 let live_words_after steps =
   let n = 4 in
   let stack =

@@ -7,7 +7,8 @@
    (2) the open-loop workload generator — arrivals respect the Poisson
    schedule, Zipf keys stay in range, a deferred joiner starts at its
    join step; (3) lib/world — aggregate determinism, churn accounting,
-   and CLI stdout byte-identity across --jobs values. *)
+   catalogue cells against the campaign runner, one aggregate shape for
+   both cell kinds, and CLI stdout byte-identity across --jobs values. *)
 
 open Tbwf_sim
 open Tbwf_registers
@@ -393,6 +394,51 @@ let test_world_churn_accounting () =
   Alcotest.(check bool) "completed some ops" true (summary.World.sum_completed > 0);
   Alcotest.(check int) "total steps" (6 * 8_000) summary.World.sum_steps
 
+(* Catalogue cells map systems-major onto (system, campaign) and decide
+   the same online verdict the campaign runner does for the same plan and
+   seed: the world's shard runner adds nothing to a catalogue cell. *)
+let test_world_catalogue_cells () =
+  let open Tbwf_nemesis in
+  let systems = [ System.Tbwf_atomic; System.Naive_booster ] in
+  let c =
+    {
+      World.default with
+      World.cells = World.Catalogue;
+      shards = 5;
+      n = 4;
+      horizon = 96_000;
+      systems;
+      seed = 0x50ACL;
+    }
+  in
+  let seen = ref 0 in
+  ignore
+    (World.run
+       ~on_shard:(fun r ->
+         let i = r.World.ws_shard in
+         incr seen;
+         let system = List.nth systems (i mod 2) in
+         let campaign = List.nth Campaign.catalogue (i / 2 mod 6) in
+         Alcotest.(check string) "systems-major system"
+           (System.to_string system)
+           (System.to_string r.World.ws_system);
+         Alcotest.(check (option string)) "systems-major campaign"
+           (Some (Campaign.name campaign))
+           (Option.map Campaign.name r.World.ws_campaign);
+         Alcotest.(check bool) "prediction from expect_fail"
+           (not (List.mem system (Campaign.expect_fail campaign)))
+           r.World.ws_expect_holds;
+         let rr =
+           Campaign.run_plan ~seed:(Rng.task_seed ~master:c.World.seed i)
+             ~plan:r.World.ws_plan ~system ()
+         in
+         Alcotest.(check bool)
+           (Printf.sprintf "shard %d verdict = run_plan's online verdict" i)
+           true
+           (r.World.ws_verdict = rr.Campaign.rr_online))
+       c);
+  Alcotest.(check int) "every shard ran" 5 !seen
+
 let test_world_deterministic_aggregate () =
   let run () =
     Tbwf_telemetry.Json.to_string (World.run small_world).World.sum_json
@@ -414,16 +460,27 @@ let read_file path =
   text
 
 let test_world_schema_pinned () =
-  (* the tbwf-world/v1 shape is a public contract: any field add/remove/
-     retype must re-bless test/golden/world_summary.schema *)
-  let summary = World.run small_world in
-  let actual = Tbwf_telemetry.Json.schema_string summary.World.sum_json in
+  (* the tbwf-world/v2 shape is a public contract: any field add/remove/
+     retype must re-bless test/golden/world_summary.schema. Both cell
+     kinds print the one shape. *)
+  let schema c =
+    Tbwf_telemetry.Json.schema_string (World.run c).World.sum_json
+  in
+  let actual = schema small_world in
+  Alcotest.(check string) "catalogue cells print the same shape" actual
+    (schema
+       {
+         small_world with
+         World.cells = World.Catalogue;
+         shards = 5;
+         systems = System.all;
+       });
   match
     List.find_opt Sys.file_exists
       [ "golden/world_summary.schema"; "test/golden/world_summary.schema" ]
   with
   | Some p ->
-    Alcotest.(check string) "tbwf-world/v1 schema pinned" (read_file p) actual
+    Alcotest.(check string) "tbwf-world/v2 schema pinned" (read_file p) actual
   | None ->
     let oc = open_out_bin "world_summary.schema.actual" in
     output_string oc actual;
@@ -457,6 +514,7 @@ let test_world_validate_rejects () =
         { World.default with profile = { profile with mean_gap = 0.0 } } );
       ( "zipf -1",
         { World.default with profile = { profile with zipf = -1.0 } } );
+      "catalogue n 1", { World.default with cells = World.Catalogue; n = 1 };
     ]
 
 (* --- CLI byte-identity across --jobs -------------------------------------- *)
@@ -486,17 +544,21 @@ let test_world_jobs_byte_identity () =
   match exe_path "tbwf_world" with
   | None -> Alcotest.fail "tbwf_world.exe not found"
   | Some exe ->
-    let run jobs =
-      read_output
-        (Printf.sprintf
-           "%s --shards 6 -n 4 --steps 8000 --every 4000 --seed 42 --jobs %d \
-            2>/dev/null"
-           exe jobs)
-    in
-    let one = run 1 in
-    Alcotest.(check bool) "produced output" true (String.length one > 0);
-    Alcotest.(check string) "--jobs 4 is byte-identical to --jobs 1" one
-      (run 4)
+    List.iter
+      (fun args ->
+        let run jobs =
+          read_output
+            (Printf.sprintf "%s %s --jobs %d 2>/dev/null" exe args jobs)
+        in
+        let one = run 1 in
+        Alcotest.(check bool) "produced output" true (String.length one > 0);
+        Alcotest.(check string) "--jobs 4 is byte-identical to --jobs 1" one
+          (run 4))
+      [
+        "--shards 6 -n 4 --steps 8000 --every 4000 --seed 42";
+        "--cells catalogue --shards 5 --steps 96000 --every 48000 --seed \
+         20652";
+      ]
 
 let () =
   Alcotest.run "world"
@@ -533,6 +595,8 @@ let () =
         [
           Alcotest.test_case "churn accounting" `Quick
             test_world_churn_accounting;
+          Alcotest.test_case "catalogue cells" `Quick
+            test_world_catalogue_cells;
           Alcotest.test_case "deterministic aggregate" `Quick
             test_world_deterministic_aggregate;
           Alcotest.test_case "stable schedules" `Quick
