@@ -110,10 +110,12 @@ let check ?(min_ops = 1) ?(require_sched_timely = true) ~prediction ~trace
 module Online = struct
   (* The same contract, decided incrementally from the sink stream instead
      of post-hoc from the recorded trace. The gap bookkeeping mirrors
-     [Timeliness.max_gap] move for move: [cur.(p).(q)] counts q's steps
-     since p's last step (or since the tail boundary if p has not stepped
-     yet), [big.(p).(q)] holds the largest already-flushed gap, and a step
-     by p flushes its whole row. The verdict is then assembled with
+     [Timeliness.max_gap] move for move: q's current gap against p —
+     q's steps since p's last step, or since the tail boundary if p has
+     not stepped yet — is [own_steps.(q) - mark.(p).(q)], where
+     [mark.(p).(q)] is q's own-step count at p's last step;
+     [big.(p).(q)] holds the largest already-flushed gap, and a step by p
+     flushes its whole row in one pass. The verdict is then assembled with
      exactly [check]'s logic, so for any finished run
      [verdict t = check ~prediction ~trace ...] field for field — the
      differential test in [test/test_nemesis.ml] enforces this across the
@@ -128,7 +130,7 @@ module Online = struct
         (* [o_completed] snapshotted at the first event with
            step ≥ pred_from — the online analogue of [completed_before] *)
     o_own_steps : int array;  (* per-pid own steps in the tail *)
-    o_cur : int array array;  (* o_cur.(p).(q): q steps since p last stepped *)
+    o_mark : int array array;  (* o_mark.(p).(q): q's own steps at p's last step *)
     o_big : int array array;  (* largest flushed gap per (p, q) pair *)
     o_stepped : bool array;  (* has p stepped in the tail at all? *)
   }
@@ -142,7 +144,7 @@ module Online = struct
       o_completed = Array.make n 0;
       o_before = None;
       o_own_steps = Array.make n 0;
-      o_cur = Array.init n (fun _ -> Array.make n 0);
+      o_mark = Array.init n (fun _ -> Array.make n 0);
       o_big = Array.init n (fun _ -> Array.make n 0);
       o_stepped = Array.make n false;
     }
@@ -160,18 +162,17 @@ module Online = struct
     roll t ~step;
     let n = t.o_prediction.pred_n in
     if step >= t.o_prediction.pred_from && pid >= 0 && pid < n then begin
-      t.o_own_steps.(pid) <- t.o_own_steps.(pid) + 1;
-      (* This step widens every other process's current gap... *)
-      for p = 0 to n - 1 do
-        if p <> pid then t.o_cur.(p).(pid) <- t.o_cur.(p).(pid) + 1
-      done;
-      (* ...and flushes [pid]'s own row, exactly like [max_gap]'s
-         p-step case. *)
-      let cur = t.o_cur.(pid) and big = t.o_big.(pid) in
+      let own = t.o_own_steps in
+      own.(pid) <- own.(pid) + 1;
+      (* This step widens every other process's current gap against
+         [pid] through [own.(pid)], and flushes [pid]'s own row, exactly
+         like [max_gap]'s p-step case. *)
+      let mark = t.o_mark.(pid) and big = t.o_big.(pid) in
       for q = 0 to n - 1 do
         if q <> pid then begin
-          if cur.(q) > big.(q) then big.(q) <- cur.(q);
-          cur.(q) <- 0
+          let gap = own.(q) - mark.(q) in
+          if gap > big.(q) then big.(q) <- gap;
+          mark.(q) <- own.(q)
         end
       done;
       t.o_stepped.(pid) <- true
@@ -202,9 +203,9 @@ module Online = struct
      [max big cur]; a p that never stepped yields the vacuous [Some 0]
      only if q never stepped either (its current gap is still 0). *)
   let pair_timely t ~p ~q =
-    if t.o_stepped.(p) then
-      max t.o_big.(p).(q) t.o_cur.(p).(q) <= t.o_prediction.pred_bound
-    else t.o_cur.(p).(q) = 0
+    let cur = t.o_own_steps.(q) - t.o_mark.(p).(q) in
+    if t.o_stepped.(p) then max t.o_big.(p).(q) cur <= t.o_prediction.pred_bound
+    else cur = 0
 
   let sched_timely t ~pid =
     let n = t.o_prediction.pred_n in

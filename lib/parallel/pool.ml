@@ -3,8 +3,8 @@
    Every parallel workload in this repo is embarrassingly parallel at the
    run level: independent seeded simulations (campaign cells, fuzz
    batches, explore root branches, experiments) that never share a
-   runtime. The pool distributes the task indices over domains in chunks
-   claimed from one atomic counter, captures per-task exceptions (a
+   runtime. The pool hands the task indices out one at a time from one
+   atomic counter, captures per-task exceptions (a
    failed cell reports against its index, it does not kill the pool), and
    writes every result into the task's own slot of a preallocated array —
    so the output order is the canonical task order no matter which domain
@@ -74,21 +74,18 @@ let run t ~tasks f =
         exec i
       done
     else begin
-      (* Chunked self-scheduling: ~4 chunks per domain balances load
-         without contending on the counter once per task. Chunks are
-         claimed dynamically but land in fixed slots, so distribution
-         order never shows in the output. *)
-      let chunk = max 1 ((tasks + (4 * d) - 1) / (4 * d)) in
+      (* Self-scheduling one task per claim: a task is a whole seeded
+         run (milliseconds at least), so one atomic increment per task is
+         noise, while a multi-task chunk can leave a domain idle for
+         several task-times at the end of a batch. Tasks are claimed
+         dynamically but land in fixed slots, so distribution order never
+         shows in the output. *)
       let next = Atomic.make 0 in
       let worker () =
         let continue = ref true in
         while !continue do
-          let lo = Atomic.fetch_and_add next chunk in
-          if lo >= tasks then continue := false
-          else
-            for i = lo to min tasks (lo + chunk) - 1 do
-              exec i
-            done
+          let i = Atomic.fetch_and_add next 1 in
+          if i >= tasks then continue := false else exec i
         done
       in
       let workers = Array.init (d - 1) (fun _ -> Domain.spawn worker) in

@@ -2,8 +2,9 @@
 
     The repo's workloads — nemesis campaign cells, (schedule, fault-plan)
     fuzz batches, explore root branches, the experiment registry — are
-    independent seeded simulations. The pool runs them across domains
-    with chunked work distribution and merges results in {e canonical
+    independent seeded simulations. The pool runs them across domains,
+    each idle domain claiming the next task index from one atomic
+    counter, and merges results in {e canonical
     task order}: output is byte-identical for any domain count, and one
     domain bypasses domains entirely (a plain sequential loop).
 

@@ -67,6 +67,9 @@ type t = {
   mutable events : (int * int * event_kind) list;
       (* (due step, creation seq, kind), unsorted *)
   mutable next_event_seq : int;
+  mutable next_due : int;
+      (* earliest due step in [events] and [crashes], [max_int] if both
+         are empty: [apply_due] returns at once before it *)
   mutable sink : Sink.t;  (* telemetry sink; Sink.nil = disabled *)
   (* Cached runnable-pid set, recomputed only when membership can have
      changed (spawn, a proc's last task finishing, a crash). The cache is
@@ -114,6 +117,7 @@ let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
     crashes = [];
     events = [];
     next_event_seq = 0;
+    next_due = max_int;
     sink = Sink.nil;
     runnable_cache = [||];
     runnable_dirty = true;
@@ -173,7 +177,9 @@ let push_task t ~pid ~name ~layer state =
 let spawn ?(layer = Sink.Other) t ~pid ~name body =
   push_task t ~pid ~name ~layer (Ready body)
 
-let crash_at t ~pid ~step = t.crashes <- (step, pid) :: t.crashes
+let crash_at t ~pid ~step =
+  t.crashes <- (step, pid) :: t.crashes;
+  t.next_due <- Int.min t.next_due step
 
 let crashed t ~pid = t.procs.(pid).is_crashed
 let retired t ~pid = t.procs.(pid).is_retired
@@ -209,7 +215,8 @@ let add_process t =
 let schedule_event t ~step kind =
   let seq = t.next_event_seq in
   t.next_event_seq <- seq + 1;
-  t.events <- (step, seq, kind) :: t.events
+  t.events <- (step, seq, kind) :: t.events;
+  t.next_due <- Int.min t.next_due step
 
 let spawn_late ?(layer = Sink.Other) ?at t ~name body =
   let pid = add_process t in
@@ -482,9 +489,19 @@ let apply_due_events t =
              if not (proc.is_crashed || proc.is_retired) then
                retire_proc t proc)
 
+(* In a churn shard the joiner's activation and the leaver's departure
+   stay pending for up to half the run, so the common case — nothing due
+   yet — is one comparison, not a partition of the pending lists. *)
 let apply_due t =
-  apply_due_events t;
-  apply_due_crashes t
+  if t.step >= t.next_due then begin
+    apply_due_events t;
+    apply_due_crashes t;
+    t.next_due <-
+      List.fold_left
+        (fun due (s, _) -> Int.min due s)
+        (List.fold_left (fun due (s, _, _) -> Int.min due s) max_int t.events)
+        t.crashes
+  end
 
 let recompute_runnable t =
   (* Index loops bounded by [num], not [Array.iter]: the table's capacity

@@ -222,10 +222,16 @@ let on_invoke t ~step ~pid ~layer:_ ~obj_id ~obj_name:_ ~op:_ =
 let on_respond t ~step ~pid ~layer ~obj_id ~obj_name:_ ~op:_ ~result =
   if pid >= 0 && pid < t.n then begin
     t.responds.(pid) <- t.responds.(pid) + 1;
-    let aborted = Value.equal result Value.Abort in
-    if aborted then t.aborts.(pid) <- t.aborts.(pid) + 1;
-    let failed = Value.equal result Value.Fail in
-    if failed then t.fails.(pid) <- t.fails.(pid) + 1;
+    let aborted =
+      match result with
+      | Value.Abort ->
+        t.aborts.(pid) <- t.aborts.(pid) + 1;
+        true
+      | Value.Fail ->
+        t.fails.(pid) <- t.fails.(pid) + 1;
+        false
+      | _ -> false
+    in
     Span.on_respond t.spans ~pid ~layer ~obj_id ~step ~aborted
   end
 

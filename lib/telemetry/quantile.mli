@@ -16,6 +16,10 @@ val n_buckets : int
 
 val create : unit -> t
 
+val bucket_of : int -> int
+(** The bucket a non-negative value lands in: [v] itself below 16, else
+    16 sub-buckets per power of two from [2^4] up. *)
+
 val observe : t -> int -> unit
 (** Record one observation (negative values clamp to 0). *)
 

@@ -237,6 +237,95 @@ let test_idle_steps_advance_time () =
   Alcotest.(check int) "idle steps counted" 50 (Runtime.now rt);
   Runtime.stop rt
 
+(* --- deferred events: the due-step guard -------------------------------- *)
+
+(* A task on pid 0 registers a crash, a retirement or a task activation
+   for pid 1 at its step [registered_at], due [offset] steps from then.
+   Whichever entry point advances time — [run], [step] or [idle_step] —
+   the event must land at the same step: a sink records the Crash or
+   Retire signal, or pid 1's first step once the activated task runs
+   (every driver steps pid 1 as soon as it is runnable). *)
+type deferred = Crash | Retire | Spawn
+type driver = Run | Step | Idle
+
+let registered_at = 5
+let horizon = 20
+
+let firing_step kind ~offset driver =
+  let rt = Runtime.create ~record_trace:false ~n:2 () in
+  let fired = ref None in
+  let note step = if !fired = None then fired := Some step in
+  Runtime.set_sink rt
+    {
+      Sink.nil with
+      active = true;
+      on_step = (fun ~step ~pid ~layer:_ -> if pid = 1 then note step);
+      on_signal =
+        (fun ~step ~pid:_ s ->
+          match s with
+          | Sink.Crash { pid = 1 } | Sink.Retire { pid = 1 } -> note step
+          | _ -> ());
+    };
+  let forever () =
+    while true do
+      Runtime.yield ()
+    done
+  in
+  let registered = ref false in
+  Runtime.spawn rt ~pid:0 ~name:"registrar" (fun () ->
+      while Runtime.now rt < registered_at do
+        Runtime.yield ()
+      done;
+      let at = Runtime.now rt + offset in
+      (match kind with
+      | Crash -> Runtime.crash_at rt ~pid:1 ~step:at
+      | Retire -> Runtime.retire rt ~at ~pid:1
+      | Spawn -> Runtime.spawn_at rt ~pid:1 ~at ~name:"late" forever);
+      registered := true;
+      forever ());
+  (match driver with
+  | Run ->
+    (* [of_script] picks [runnable.(1 mod len)]: pid 1 whenever it is
+       runnable, pid 0 otherwise *)
+    let policy = Policy.of_script (List.init horizon (fun _ -> 1)) in
+    Runtime.run rt ~policy ~steps:horizon
+  | Step ->
+    while Runtime.now rt < horizon do
+      try Runtime.step rt ~pid:1
+      with Invalid_argument _ -> Runtime.step rt ~pid:0
+    done
+  | Idle ->
+    (* an activation shows only once pid 1 runs, so for [Spawn] each
+       step tries pid 1 before idling *)
+    while Runtime.now rt < horizon do
+      if not !registered then Runtime.step rt ~pid:0
+      else if kind = Spawn then
+        try Runtime.step rt ~pid:1 with Invalid_argument _ -> Runtime.idle_step rt
+      else Runtime.idle_step rt
+    done);
+  Runtime.stop rt;
+  !fired
+
+let test_due_guard () =
+  List.iter
+    (fun (kind, name, earliest) ->
+      List.iter
+        (fun (offset, timing) ->
+          (* a crash or an activation lands at the next step boundary at
+             the earliest; a retirement due now applies at once *)
+          let expected =
+            Some (Int.max (registered_at + offset) (registered_at + earliest))
+          in
+          List.iter
+            (fun (driver, driver_name) ->
+              Alcotest.(check (option int))
+                (Fmt.str "%s %s under %s" name timing driver_name)
+                expected
+                (firing_step kind ~offset driver))
+            [ Run, "run"; Step, "step"; Idle, "idle_step" ])
+        [ 0, "at the current step"; -3, "at a past step"; 5, "at a future step" ])
+    [ Crash, "crash_at", 1; Retire, "retire ~at", 0; Spawn, "spawn_at", 1 ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -264,5 +353,7 @@ let () =
           Alcotest.test_case "spawn during run" `Quick test_spawn_during_run;
           Alcotest.test_case "idle steps advance time" `Quick
             test_idle_steps_advance_time;
+          Alcotest.test_case "deferred events fire on their due step" `Quick
+            test_due_guard;
         ] );
     ]

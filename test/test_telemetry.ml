@@ -89,6 +89,34 @@ let qcheck_quantile_merge_algebra =
            (Quantile.merge a (Quantile.merge b c))
            (sketch_of (List.rev_append xs (List.rev_append ys zs))))
 
+(* The one-shift-per-bit floor log2 the sketch used before its halving
+   search; [bucket_of] must agree with it everywhere, or sketches would
+   stop being byte-identical to earlier ones. *)
+let reference_bucket_of v =
+  let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v lsr 1) in
+  if v < 16 then v
+  else
+    let k = log2 0 v in
+    16 + ((k - 4) * 16) + ((v lsr (k - 4)) - 16)
+
+let check_bucket v =
+  Alcotest.(check int) (Fmt.str "bucket of %d" v) (reference_bucket_of v)
+    (Quantile.bucket_of v)
+
+let test_quantile_bucket_edges () =
+  for k = 0 to 61 do
+    let p = 1 lsl k in
+    List.iter check_bucket [ p - 1; p; p + 1 ]
+  done;
+  check_bucket max_int;
+  check_bucket (max_int - 1)
+
+let qcheck_quantile_bucket_random =
+  QCheck.Test.make ~name:"bucket_of agrees with the bit-by-bit log2"
+    ~count:1000
+    QCheck.(make Gen.(map (fun v -> v land max_int) int))
+    (fun v -> Quantile.bucket_of v = reference_bucket_of v)
+
 (* --- Span ---------------------------------------------------------------- *)
 
 let test_span_latency_and_streaks () =
@@ -187,6 +215,116 @@ let qcheck_span_contention_model =
           = Json.Int (model_contended_spans events)
         | _ -> false)
       | _ -> false)
+
+(* The tracer before its flat per-pid stacks, kept as the model: open
+   spans are a newest-first list per pid, a respond closes the newest one
+   on its object, and an invoke at [max_open_spans] keeps only the newest
+   [max_open_spans - 1] before pushing. *)
+let model_max_open_spans = 256
+
+type model_span = { m_obj : int; m_invoke : int; m_seen : int; m_contended : bool }
+
+let model_span_run ~n events =
+  let open_spans = Array.make n [] in
+  let open_count = Hashtbl.create 8 and in_window = Hashtbl.create 8 in
+  let invokes = Hashtbl.create 8 in
+  let get h k = Option.value ~default:0 (Hashtbl.find_opt h k) in
+  let tails = Array.init Sink.n_layers (fun _ -> Quantile.create ()) in
+  let completed = ref 0 and contended = ref 0 and windows = ref 0 in
+  List.iteri
+    (fun step (invoke, pid, obj, layer) ->
+      if invoke then begin
+        let opens = get open_count obj + 1 in
+        Hashtbl.replace open_count obj opens;
+        let seen = get invokes obj + 1 in
+        Hashtbl.replace invokes obj seen;
+        let kept =
+          List.filteri
+            (fun i _ -> i < model_max_open_spans - 1)
+            open_spans.(pid)
+        in
+        open_spans.(pid) <-
+          { m_obj = obj; m_invoke = step; m_seen = seen; m_contended = opens >= 2 }
+          :: kept;
+        if opens >= 2 && not (Hashtbl.mem in_window obj) then begin
+          Hashtbl.replace in_window obj ();
+          incr windows
+        end
+      end
+      else
+        match List.find_opt (fun sp -> sp.m_obj = obj) open_spans.(pid) with
+        | None -> ()
+        | Some sp ->
+          open_spans.(pid) <- List.filter (fun o -> o != sp) open_spans.(pid);
+          incr completed;
+          Quantile.observe tails.(Sink.layer_index layer) (step - sp.m_invoke);
+          if sp.m_contended || get invokes obj > sp.m_seen then incr contended;
+          let opens = Int.max 0 (get open_count obj - 1) in
+          Hashtbl.replace open_count obj opens;
+          if opens = 0 then Hashtbl.remove in_window obj)
+    events;
+  !completed, tails, !windows, !contended
+
+let span_run ~n events =
+  let sp = Span.create ~n in
+  List.iteri
+    (fun step (invoke, pid, obj_id, layer) ->
+      if invoke then Span.on_invoke sp ~pid ~obj_id ~step
+      else Span.on_respond sp ~pid ~layer ~obj_id ~step ~aborted:false)
+    events;
+  sp
+
+let contention_of sp =
+  match Span.to_json sp with
+  | Json.Obj fields -> (
+    match List.assoc "contention" fields with
+    | Json.Obj c -> (
+      match List.assoc "windows" c, List.assoc "contended_spans" c with
+      | Json.Int w, Json.Int cs -> w, cs
+      | _ -> Alcotest.fail "contention counts should be ints")
+    | _ -> Alcotest.fail "contention should be an object")
+  | _ -> Alcotest.fail "span json should be an object"
+
+let span_matches_model ~n events =
+  let sp = span_run ~n events in
+  let completed, tails, windows, contended = model_span_run ~n events in
+  Span.completed sp = completed
+  && List.for_all
+       (fun layer ->
+         Quantile.equal (Span.tail_of sp layer) tails.(Sink.layer_index layer))
+       Sink.layers
+  && contention_of sp = (windows, contended)
+
+let span_event =
+  QCheck.Gen.(
+    quad bool (int_range 0 2) (int_range 0 3) (oneofl Sink.layers))
+
+let print_span_events =
+  QCheck.Print.(
+    list (fun (i, p, o, l) ->
+        Fmt.str "%s(p%d,o%d,%s)" (if i then "inv" else "resp") p o
+          (Sink.layer_name l)))
+
+let qcheck_span_stack_model =
+  QCheck.Test.make ~name:"span stacks match the list model" ~count:300
+    (QCheck.make ~print:print_span_events
+       QCheck.Gen.(list_size (0 -- 80) span_event))
+    (fun events -> span_matches_model ~n:3 events)
+
+(* Leaky runs: invokes far outnumber responds, so a pid's open spans pass
+   [max_open_spans] and the stack must drop its oldest span exactly where
+   the list did, then still close the newest match. *)
+let qcheck_span_stack_model_leaky =
+  QCheck.Test.make ~name:"span stacks match the list model past the cap"
+    ~count:40
+    (QCheck.make ~print:print_span_events
+       QCheck.Gen.(
+         list_size (700 -- 1200)
+           (map
+              (fun (roll, pid, obj, layer) -> roll < 9, pid, obj, layer)
+              (quad (int_bound 9) (int_range 0 1) (int_range 0 3)
+                 (oneofl Sink.layers)))))
+    (fun events -> span_matches_model ~n:2 events)
 
 let test_span_orphan_respond () =
   let sp = Span.create ~n:1 in
@@ -472,6 +610,9 @@ let () =
           Alcotest.test_case "relative error bound" `Quick
             test_quantile_error_bound;
           QCheck_alcotest.to_alcotest qcheck_quantile_merge_algebra;
+          Alcotest.test_case "bucket_of at power-of-two edges" `Quick
+            test_quantile_bucket_edges;
+          QCheck_alcotest.to_alcotest qcheck_quantile_bucket_random;
         ] );
       ( "span",
         [
@@ -479,6 +620,8 @@ let () =
             test_span_latency_and_streaks;
           Alcotest.test_case "contention windows" `Quick test_span_contention;
           QCheck_alcotest.to_alcotest qcheck_span_contention_model;
+          QCheck_alcotest.to_alcotest qcheck_span_stack_model;
+          QCheck_alcotest.to_alcotest qcheck_span_stack_model_leaky;
           Alcotest.test_case "orphan respond ignored" `Quick
             test_span_orphan_respond;
         ] );
