@@ -72,14 +72,16 @@ let world cells shards n joiners leavers retire_fraction steps every window
     let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
     let start = Unix.gettimeofday () in
     (* Per-shard stderr lines are only worth reading at small scale; a
-       big world gets a progress line per thousand shards instead. *)
+       big world gets a progress line per thousand shards instead. A
+       shard whose verdict misses its prediction is named at any scale,
+       so every failure can be replayed from its line. *)
     let chatty = shards <= 64 in
     let done_shards = ref 0 in
     let on_shard (r : World.shard_result) =
       print_string r.World.ws_jsonl;
       incr done_shards;
-      if chatty then begin
-        let holds = r.World.ws_verdict.Degradation.holds in
+      let holds = r.World.ws_verdict.Degradation.holds in
+      if chatty || holds <> r.World.ws_expect_holds then begin
         Fmt.epr "shard %4d %-16s %s%s %s ops=%d %6.2fs@." r.World.ws_shard
           (System.to_string r.World.ws_system)
           (if holds then "holds" else "fails")
@@ -91,8 +93,8 @@ let world cells shards n joiners leavers retire_fraction steps every window
               (List.length r.World.ws_churn.World.ch_joins)
               (List.length r.World.ws_churn.World.ch_leaves))
           r.World.ws_completed r.World.ws_seconds
-      end
-      else if !done_shards mod 1024 = 0 then
+      end;
+      if (not chatty) && !done_shards mod 1024 = 0 then
         Fmt.epr "world %6d/%d shards %7.1fs%s@." !done_shards shards
           (Unix.gettimeofday () -. start)
           (match Resource.peak_rss_kb () with

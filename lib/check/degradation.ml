@@ -149,10 +149,10 @@ module Online = struct
       o_stepped = Array.make n false;
     }
 
-  (* Snapshot the tail boundary the moment any event at or past
+  (* Snapshot the tail boundary the moment a step or signal at or past
      [pred_from] arrives. The runtime emits [on_step] before the step's
      own invokes/responds/signals, so the first such event is the
-     boundary step itself — but every handler guards, in case a sink is
+     boundary step itself — but both handlers guard, in case a sink is
      fed a partial stream. *)
   let roll t ~step =
     if t.o_before = None && step >= t.o_prediction.pred_from then
@@ -190,12 +190,10 @@ module Online = struct
     {
       Sink.active = true;
       on_step = (fun ~step ~pid ~layer:_ -> on_step t ~step ~pid);
-      on_invoke =
-        (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ->
-          roll t ~step);
-      on_respond =
-        (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ~result:_ ->
-          roll t ~step);
+      (* Invokes and responds change no count: every event that does
+         rolls first, so [Sink.tee] can skip this side for them. *)
+      on_invoke = Sink.nil.on_invoke;
+      on_respond = Sink.nil.on_respond;
       on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
     }
 

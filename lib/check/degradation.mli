@@ -146,8 +146,9 @@ module Online : sig
   val sink : t -> Tbwf_sim.Sink.t
   (** Install with [Runtime.set_sink], or compose with a collector's
       sink via [Sink.tee] — the checker only reads [on_step] and
-      [Op_complete] signals, every other callback just arms the tail
-      boundary. *)
+      [Op_complete] signals, other signals just arm the tail boundary,
+      and its [on_invoke]/[on_respond] are {!Tbwf_sim.Sink.nil}'s, so a
+      tee skips this side for them. *)
 
   val verdict : t -> verdict
   (** The verdict over everything consumed so far. Non-destructive: safe

@@ -69,11 +69,10 @@ let sink t =
   {
     Sink.active = true;
     on_step = (fun ~step ~pid:_ ~layer:_ -> roll t ~step);
-    on_invoke =
-      (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ -> roll t ~step);
-    on_respond =
-      (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ~result:_ ->
-        roll t ~step);
+    (* Only completions count, and [on_signal] rolls before counting
+       one, so invokes and responds are left to [Sink.nil]. *)
+    on_invoke = Sink.nil.on_invoke;
+    on_respond = Sink.nil.on_respond;
     on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
   }
 

@@ -22,8 +22,10 @@ val create : ?floor:int -> ?watch:int list -> n:int -> window:int -> unit -> t
 
 val sink : t -> Tbwf_sim.Sink.t
 (** Feed the monitor from a run; compose with other observers via
-    [Sink.tee]. A window closes when the first event of a later window
-    arrives; call sites only need [on_step] and [Op_complete]. *)
+    [Sink.tee]. A window closes when the first step or signal of a later
+    window arrives; call sites only need [on_step] and [Op_complete].
+    Its [on_invoke]/[on_respond] are {!Tbwf_sim.Sink.nil}'s, so a tee
+    skips this side for them. *)
 
 val n : t -> int
 val window : t -> int

@@ -94,9 +94,8 @@ module Open_loop = struct
     let until = float_of_int until in
     let rec loop k next_arrival =
       if next_arrival < until then begin
-        while Runtime.now rt < int_of_float next_arrival do
-          Runtime.yield ()
-        done;
+        let arrival = int_of_float next_arrival in
+        Runtime.await (fun () -> Runtime.now rt >= arrival);
         let key = draw_key cdf rng in
         stats.issued.(pid) <- stats.issued.(pid) + 1;
         let response = invoke (op_of_key ~pid ~k ~key) in

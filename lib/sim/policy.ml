@@ -168,35 +168,47 @@ let flicker_awake st (pid : int) (step : int) (active : int) (sleep : int)
   done;
   f.awake
 
-(* The least-recently-run eligible pid in [runnable], the first in pid
-   order on ties, or -1. Eligible means holding a hard claim on [step]
-   ([Every] due, or [Slowing] due), or, on a [spare] step, any [Every]. *)
-let least_recent st (step : int) (runnable : int array) ~spare =
-  let best = ref (-1) in
-  let best_ran = ref max_int in
-  for i = 0 to Array.length runnable - 1 do
-    let p = runnable.(i) in
-    let eligible =
-      match resolve step st.assigned.(p) with
-      | Every { period; offset } -> spare || (step - offset) mod period = 0
-      | Slowing { initial_gap; growth = _; burst } ->
-        (not spare) && step >= (slowing_state st p step initial_gap burst).due
-      | Weighted _ | Flicker _ | Silent | Switch_at _ -> false
-    in
-    if eligible && st.last_run.(p) < !best_ran then begin
-      best := p;
-      best_ran := st.last_run.(p)
-    end
-  done;
-  !best
-
+(* One scan of [runnable] finds the hard claimant (an [Every] due on
+   [step] or a due [Slowing]), the spare claimant (any [Every], willing
+   but maybe not due) — each the least recently run, the first in pid
+   order on ties — and whether any [Weighted] or [Flicker] pid could take
+   a soft step. Weights are built, and a draw made, only in that case:
+   with no soft pid every weight is 0, and [weighted_pick] would return
+   -1 without drawing. Flicker state is touched only by that weight pass,
+   so it is created at the same step as when every spare step built it. *)
 let pick_pattern st ~step ~runnable ~rng =
   let len = Array.length runnable in
   if len = 0 then None
   else begin
     fit_patterns st runnable.(len - 1);
-    (* hard claims first, least-recently-run so ties starve nobody *)
-    let claimant = least_recent st step runnable ~spare:false in
+    let hard = ref (-1) and hard_ran = ref max_int in
+    let spare = ref (-1) and spare_ran = ref max_int in
+    let soft = ref false in
+    for i = 0 to len - 1 do
+      let p = runnable.(i) in
+      let ran = st.last_run.(p) in
+      match resolve step st.assigned.(p) with
+      | Every { period; offset } ->
+        if ran < !spare_ran then begin
+          spare := p;
+          spare_ran := ran
+        end;
+        if (step - offset) mod period = 0 && ran < !hard_ran then begin
+          hard := p;
+          hard_ran := ran
+        end
+      | Slowing { initial_gap; growth = _; burst } ->
+        if
+          step >= (slowing_state st p step initial_gap burst).due
+          && ran < !hard_ran
+        then begin
+          hard := p;
+          hard_ran := ran
+        end
+      | Weighted _ | Flicker _ -> soft := true
+      | Silent | Switch_at _ -> ()
+    done;
+    let claimant = !hard in
     if claimant >= 0 then begin
       st.last_run.(claimant) <- step;
       (match resolve step st.assigned.(claimant) with
@@ -212,24 +224,27 @@ let pick_pattern st ~step ~runnable ~rng =
       Some claimant
     end
     else begin
-      for i = 0 to len - 1 do
-        let p = runnable.(i) in
-        st.weights.(p) <-
-          (match resolve step st.assigned.(p) with
-          | Weighted w -> w
-          | Flicker { active; sleep; growth } ->
-            if flicker_awake st p step active sleep growth then 1.0 else 0.0
-          | Every _ | Slowing _ | Silent -> 0.0
-          | Switch_at _ -> assert false)
-      done;
-      let chosen = weighted_pick rng st.weights runnable in
+      let chosen =
+        if not !soft then -1
+        else begin
+          for i = 0 to len - 1 do
+            let p = runnable.(i) in
+            st.weights.(p) <-
+              (match resolve step st.assigned.(p) with
+              | Weighted w -> w
+              | Flicker { active; sleep; growth } ->
+                if flicker_awake st p step active sleep growth then 1.0 else 0.0
+              | Every _ | Slowing _ | Silent -> 0.0
+              | Switch_at _ -> assert false)
+          done;
+          weighted_pick rng st.weights runnable
+        end
+      in
       (* No soft participant this step: give the spare step to an
          off-claim [Every] process (it is willing, merely not due), so
          runs made only of timely processes keep progressing; if truly
          everyone is silent, let the step pass idle. *)
-      let chosen =
-        if chosen >= 0 then chosen else least_recent st step runnable ~spare:true
-      in
+      let chosen = if chosen >= 0 then chosen else !spare in
       if chosen < 0 then None
       else begin
         st.last_run.(chosen) <- step;

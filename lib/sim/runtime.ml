@@ -15,6 +15,9 @@ type pending = {
 type task_state =
   | Ready of (unit -> unit)
   | Suspended_local of (unit, unit) Effect.Deep.continuation
+  | Suspended_await of (unit, unit) Effect.Deep.continuation * (unit -> bool)
+      (* parked in [await]: the runtime tests the condition at each of
+         the task's steps and resumes the fiber only once it holds *)
   | Suspended_call of (Value.t, unit) Effect.Deep.continuation * pending
   | Running
   | Finished
@@ -82,6 +85,7 @@ type t = {
 
 type _ Effect.t +=
   | Yield : unit Effect.t
+  | Await : (unit -> bool) -> unit Effect.t
   | Call : Shared.t * Value.t -> Value.t Effect.t
   | Self : int Effect.t
 
@@ -236,10 +240,10 @@ let yield () = Effect.perform Yield
 let call obj op = Effect.perform (Call (obj, op))
 let self () = Effect.perform Self
 
-let await cond =
-  while not (cond ()) do
-    yield ()
-  done
+(* One local step per test, as [while not (cond ()) do yield () done]
+   takes, but a task whose first test fails parks instead of switching
+   fibers per test: the runtime re-tests [cond] at each of its steps. *)
+let await cond = if not (cond ()) then Effect.perform (Await cond)
 
 (* All transitions into [Finished] funnel through here so the proc's
    [live] count decrements exactly once per task: crash/stop teardown
@@ -248,7 +252,8 @@ let await cond =
 let finish_task t task =
   match task.t_state with
   | Finished -> ()
-  | Ready _ | Suspended_local _ | Suspended_call _ | Running ->
+  | Ready _ | Suspended_local _ | Suspended_await _ | Suspended_call _
+  | Running ->
     task.t_state <- Finished;
     let proc = t.procs.(task.t_pid) in
     proc.live <- proc.live - 1;
@@ -337,6 +342,10 @@ let handler t task =
           Some
             (fun (k : (a, unit) continuation) ->
               task.t_state <- Suspended_local k)
+        | Await cond ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              task.t_state <- Suspended_await (k, cond))
         | Call (obj, op) ->
           Some
             (fun (k : (a, unit) continuation) ->
@@ -368,23 +377,25 @@ let handler t task =
 
 let runnable_task task =
   match task.t_state with
-  | Ready _ | Suspended_local _ | Suspended_call _ -> true
+  | Ready _ | Suspended_local _ | Suspended_await _ | Suspended_call _ -> true
   | Running | Finished -> false
 
 let proc_runnable proc =
   (not proc.is_crashed) && (not proc.is_retired) && proc.live > 0
 
 (* Pick the next runnable task of [proc], round-robin over the task array
-   starting at the cursor. Allocation-free. *)
+   starting at the cursor. The cursor never exceeds [n_tasks], so one
+   subtraction wraps the index. *)
 let pick_task proc =
   let tasks = proc.tasks in
   let count = proc.n_tasks in
   let rec search tries idx =
     if tries >= count then None
     else
-      let task = tasks.(idx mod count) in
+      let idx = if idx >= count then idx - count else idx in
+      let task = tasks.(idx) in
       if runnable_task task then begin
-        proc.next_task <- (idx mod count) + 1;
+        proc.next_task <- idx + 1;
         Some task
       end
       else search (tries + 1) (idx + 1)
@@ -399,6 +410,15 @@ let exec_task_step t task =
   | Suspended_local k ->
     task.t_state <- Running;
     Effect.Deep.continue k ()
+  | Suspended_await (k, cond) -> (
+    match cond () with
+    | false -> ()
+    | true ->
+      task.t_state <- Running;
+      Effect.Deep.continue k ()
+    | exception e ->
+      task.t_state <- Running;
+      Effect.Deep.discontinue k e)
   | Suspended_call (k, pend) ->
     let result = respond_pending t pend in
     task.t_state <- Running;
@@ -415,7 +435,7 @@ let unwind_tasks t proc =
       let (_ : Value.t) = respond_pending t pend in
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
-    | Suspended_local k ->
+    | Suspended_local k | Suspended_await (k, _) ->
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Ready _ -> finish_task t task
@@ -594,7 +614,7 @@ let run t ~policy ~steps =
 let stop t =
   let teardown task =
     match task.t_state with
-    | Suspended_local k ->
+    | Suspended_local k | Suspended_await (k, _) ->
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Suspended_call (k, pend) ->

@@ -180,7 +180,16 @@ val call : Shared.t -> Value.t -> Value.t
 
 val await : (unit -> bool) -> unit
 (** Busy-wait (one step per test) until the condition holds — the paper's
-    [while ... do skip]. *)
+    [while ... do skip]. Steps, trace, sink events and RNG draws are
+    exactly those of [while not (cond ()) do yield () done]: the first
+    test runs in the current step; if it fails, the task parks, and each
+    later step the task is given tests [cond] once and resumes the task
+    in that same step if it holds. While parked, [cond] is evaluated by
+    the runtime outside the task, at the step that tests it, so it must
+    only read state: it must not perform effects ({!yield}, {!call},
+    {!self}, {!await}). An exception it raises is raised at the [await]
+    in the task. A crash, retirement or {!stop} unwinds a parked task
+    as it does a yielded one. *)
 
 val self : unit -> int
 (** Pid of the process executing the current task. *)

@@ -72,32 +72,6 @@ type t = {
   on_signal : step:int -> pid:int -> signal -> unit;
 }
 
-(* Fan one event stream out to two sinks, first [a] then [b] — the
-   composition point that lets a collector and an online checker watch
-   the same run. The tee is active if either side is, and call sites
-   guard on the *tee*'s flag, so an inactive side just receives (and
-   ignores) events its partner paid to build. *)
-let tee a b =
-  {
-    active = a.active || b.active;
-    on_step =
-      (fun ~step ~pid ~layer ->
-        a.on_step ~step ~pid ~layer;
-        b.on_step ~step ~pid ~layer);
-    on_invoke =
-      (fun ~step ~pid ~layer ~obj_id ~obj_name ~op ->
-        a.on_invoke ~step ~pid ~layer ~obj_id ~obj_name ~op;
-        b.on_invoke ~step ~pid ~layer ~obj_id ~obj_name ~op);
-    on_respond =
-      (fun ~step ~pid ~layer ~obj_id ~obj_name ~op ~result ->
-        a.on_respond ~step ~pid ~layer ~obj_id ~obj_name ~op ~result;
-        b.on_respond ~step ~pid ~layer ~obj_id ~obj_name ~op ~result);
-    on_signal =
-      (fun ~step ~pid s ->
-        a.on_signal ~step ~pid s;
-        b.on_signal ~step ~pid s);
-  }
-
 let nil =
   {
     active = false;
@@ -108,4 +82,41 @@ let nil =
       (fun ~step:_ ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ~result:_ ->
         ());
     on_signal = (fun ~step:_ ~pid:_ _ -> ());
+  }
+
+(* Fan one event stream out to two sinks, first [a] then [b] — the
+   composition point that lets a collector and an online checker watch
+   the same run. The tee is active if either side is, and call sites
+   guard on the *tee*'s flag, so an inactive side just receives (and
+   ignores) events its partner paid to build. Where one side's handler
+   is [nil]'s own (physically), the other side's handler is used as it
+   is, so a checker that ignores invokes and responds costs nothing on
+   them. *)
+let tee a b =
+  {
+    active = a.active || b.active;
+    on_step =
+      (if b.on_step == nil.on_step then a.on_step
+       else if a.on_step == nil.on_step then b.on_step
+       else fun ~step ~pid ~layer ->
+         a.on_step ~step ~pid ~layer;
+         b.on_step ~step ~pid ~layer);
+    on_invoke =
+      (if b.on_invoke == nil.on_invoke then a.on_invoke
+       else if a.on_invoke == nil.on_invoke then b.on_invoke
+       else fun ~step ~pid ~layer ~obj_id ~obj_name ~op ->
+         a.on_invoke ~step ~pid ~layer ~obj_id ~obj_name ~op;
+         b.on_invoke ~step ~pid ~layer ~obj_id ~obj_name ~op);
+    on_respond =
+      (if b.on_respond == nil.on_respond then a.on_respond
+       else if a.on_respond == nil.on_respond then b.on_respond
+       else fun ~step ~pid ~layer ~obj_id ~obj_name ~op ~result ->
+         a.on_respond ~step ~pid ~layer ~obj_id ~obj_name ~op ~result;
+         b.on_respond ~step ~pid ~layer ~obj_id ~obj_name ~op ~result);
+    on_signal =
+      (if b.on_signal == nil.on_signal then a.on_signal
+       else if a.on_signal == nil.on_signal then b.on_signal
+       else fun ~step ~pid s ->
+         a.on_signal ~step ~pid s;
+         b.on_signal ~step ~pid s);
   }

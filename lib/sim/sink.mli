@@ -74,4 +74,9 @@ val nil : t
 
 val tee : t -> t -> t
 (** [tee a b] forwards every event to [a] then [b]; active iff either
-    side is. Lets a collector and an online checker observe one run. *)
+    side is. Lets a collector and an online checker observe one run.
+    Pass-through: for each callback, if one side's handler is {!nil}'s
+    own (physical equality), the tee's handler {e is} the other side's,
+    unwrapped — so a side built as [{ nil with on_step = ... }] costs
+    nothing on the events it ignores. Events still reach [a] before
+    [b]. *)

@@ -340,6 +340,226 @@ let test_pick_allocation () =
     (Fmt.str "%.1f minor words per pick <= 8" per_pick)
     true (per_pick <= 8.0)
 
+(* --- one-pass picks against the three-pass model ---------------------- *)
+
+(* The pattern pick as it was written before it became one scan: a
+   hard-claim pass, then a weight pass and a weighted draw, then a
+   spare-claim pass. It keeps its own per-pid state, as [of_patterns]
+   does, and serves as the reference the one-pass pick must match pick
+   for pick and draw for draw. *)
+module Three_pass = struct
+  open Policy
+
+  type flicker = { mutable awake : bool; mutable phase_end : int;
+                   mutable sleep_len : float }
+
+  type slowing = { mutable due : int; mutable gap : float;
+                   mutable burst_left : int }
+
+  type t = {
+    assigned : (int, pattern) Hashtbl.t;
+    last_run : (int, int) Hashtbl.t;
+    flickers : (int, flicker) Hashtbl.t;
+    slowers : (int, slowing) Hashtbl.t;
+  }
+
+  let rec resolve step = function
+    | Switch_at (s, before, after) ->
+      if step < s then resolve step before else resolve step after
+    | p -> p
+
+  let pattern t p =
+    Option.value (Hashtbl.find_opt t.assigned p) ~default:(Weighted 1.0)
+
+  let last_run t p = Option.value (Hashtbl.find_opt t.last_run p) ~default:(-1)
+
+  let slowing_state t p step initial_gap burst =
+    match Hashtbl.find_opt t.slowers p with
+    | Some s -> s
+    | None ->
+      let s = { due = step; gap = float_of_int initial_gap; burst_left = burst } in
+      Hashtbl.replace t.slowers p s;
+      s
+
+  let flicker_awake t p step active sleep growth =
+    let f =
+      match Hashtbl.find_opt t.flickers p with
+      | Some f -> f
+      | None ->
+        let f =
+          { awake = true; phase_end = step + active;
+            sleep_len = float_of_int sleep }
+        in
+        Hashtbl.replace t.flickers p f;
+        f
+    in
+    while step >= f.phase_end do
+      if f.awake then begin
+        f.awake <- false;
+        f.phase_end <- f.phase_end + int_of_float f.sleep_len;
+        f.sleep_len <- f.sleep_len *. growth
+      end
+      else begin
+        f.awake <- true;
+        f.phase_end <- f.phase_end + active
+      end
+    done;
+    f.awake
+
+  let least_recent t step runnable ~spare =
+    let best = ref (-1) and best_ran = ref max_int in
+    Array.iter
+      (fun p ->
+        let eligible =
+          match resolve step (pattern t p) with
+          | Every { period; offset } -> spare || (step - offset) mod period = 0
+          | Slowing { initial_gap; burst; _ } ->
+            (not spare) && step >= (slowing_state t p step initial_gap burst).due
+          | _ -> false
+        in
+        if eligible && last_run t p < !best_ran then begin
+          best := p;
+          best_ran := last_run t p
+        end)
+      runnable;
+    !best
+
+  let weighted_pick rng weights runnable =
+    let total = Array.fold_left (fun acc p -> acc +. weights p) 0.0 runnable in
+    if total <= 0.0 then -1
+    else begin
+      let target = Rng.float rng *. total in
+      let acc = ref 0.0 and chosen = ref (-1) in
+      Array.iter
+        (fun p ->
+          if !chosen < 0 then begin
+            acc := !acc +. weights p;
+            if !acc > target then chosen := p
+          end)
+        runnable;
+      if !chosen < 0 then runnable.(Array.length runnable - 1) else !chosen
+    end
+
+  let pick t ~step ~runnable ~rng =
+    if Array.length runnable = 0 then None
+    else begin
+      let claimant = least_recent t step runnable ~spare:false in
+      if claimant >= 0 then begin
+        Hashtbl.replace t.last_run claimant step;
+        (match resolve step (pattern t claimant) with
+        | Slowing { initial_gap; growth; burst } ->
+          let s = slowing_state t claimant step initial_gap burst in
+          if s.burst_left > 1 then s.burst_left <- s.burst_left - 1
+          else begin
+            s.burst_left <- Int.max 1 burst;
+            s.due <- step + int_of_float s.gap;
+            s.gap <- s.gap *. growth
+          end
+        | _ -> ());
+        Some claimant
+      end
+      else begin
+        let weights = Hashtbl.create 8 in
+        Array.iter
+          (fun p ->
+            Hashtbl.replace weights p
+              (match resolve step (pattern t p) with
+              | Weighted w -> w
+              | Flicker { active; sleep; growth } ->
+                if flicker_awake t p step active sleep growth then 1.0 else 0.0
+              | _ -> 0.0))
+          runnable;
+        let chosen = weighted_pick rng (Hashtbl.find weights) runnable in
+        let chosen =
+          if chosen >= 0 then chosen else least_recent t step runnable ~spare:true
+        in
+        if chosen < 0 then None
+        else begin
+          Hashtbl.replace t.last_run chosen step;
+          Some chosen
+        end
+      end
+    end
+
+  let of_patterns assignments =
+    let t =
+      {
+        assigned = Hashtbl.create 8;
+        last_run = Hashtbl.create 8;
+        flickers = Hashtbl.create 8;
+        slowers = Hashtbl.create 8;
+      }
+    in
+    List.iter
+      (fun (p, pat) -> if p >= 0 then Hashtbl.replace t.assigned p pat)
+      assignments;
+    pick t
+end
+
+(* A random plan over pids [0, named), drawn from [rng]: every pattern,
+   [Switch_at] nested up to three deep, [Weighted 0.0], small [Every]
+   periods so claims coincide, and now and then a negative pid (ignored)
+   or a pid named twice (the later one wins). *)
+let random_assignments rng ~named ~horizon =
+  let rec pattern depth =
+    match Rng.int rng (if depth >= 3 then 5 else 6) with
+    | 0 -> Policy.Every { period = 1 + Rng.int rng 5; offset = Rng.int rng 6 }
+    | 1 -> Policy.Weighted (Rng.pick rng [| 0.0; 0.5; 1.0; 3.0 |])
+    | 2 ->
+      Policy.Flicker
+        { active = 1 + Rng.int rng 12; sleep = 1 + Rng.int rng 15;
+          growth = Rng.pick rng [| 1.0; 1.5; 2.0 |] }
+    | 3 ->
+      Policy.Slowing
+        { initial_gap = Rng.int rng 6; growth = Rng.pick rng [| 1.0; 1.3 |];
+          burst = Rng.int rng 4 }
+    | 4 -> Policy.Silent
+    | _ -> Policy.Switch_at (Rng.int rng horizon, pattern (depth + 1), pattern (depth + 1))
+  in
+  let named_pids = List.init named (fun p -> p, pattern 0) in
+  let extra =
+    List.init (Rng.int rng 3) (fun _ ->
+        (if Rng.bool rng 0.5 then -1 - Rng.int rng 3 else Rng.int rng (named + 1)),
+        pattern 0)
+  in
+  named_pids @ extra
+
+(* Ascending runnable sets over [0, pids): pids past the plan's are
+   unnamed ([Weighted 1.0]); a set may be empty. Most steps keep the
+   previous set, as a run does between membership changes. *)
+let random_runnable rng ~pids prev =
+  if Rng.bool rng 0.8 && prev <> [||] then prev
+  else
+    Array.of_list
+      (List.filter (fun _ -> Rng.bool rng 0.6) (List.init pids Fun.id))
+
+let qcheck_one_pass_matches_three_pass =
+  QCheck.Test.make ~name:"one-pass picks equal the three-pass model" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let gen = Rng.create (Int64.of_int seed) in
+      let horizon = 400 in
+      let named = 1 + Rng.int gen 6 in
+      let assignments = random_assignments gen ~named ~horizon in
+      let pids = named + Rng.int gen 3 in
+      let policy = Policy.of_patterns assignments in
+      let model = Three_pass.of_patterns assignments in
+      let rng = Rng.create (Int64.of_int (seed * 31)) in
+      let rng_model = Rng.copy rng in
+      let runnable = ref [||] in
+      for step = 0 to horizon - 1 do
+        runnable := random_runnable gen ~pids !runnable;
+        let got = Policy.next policy ~step ~runnable:!runnable ~rng in
+        let want = model ~step ~runnable:!runnable ~rng:rng_model in
+        if got <> want then
+          QCheck.Test.fail_reportf "step %d: pick %a, model %a" step
+            Fmt.(option ~none:(any "idle") int) got
+            Fmt.(option ~none:(any "idle") int) want;
+        if Rng.next (Rng.copy rng) <> Rng.next (Rng.copy rng_model) then
+          QCheck.Test.fail_reportf "step %d: rng state differs" step
+      done;
+      true)
+
 let () =
   Alcotest.run "policy"
     [
@@ -367,5 +587,6 @@ let () =
         [
           Alcotest.test_case "schedule golden" `Quick test_schedule_golden;
           Alcotest.test_case "pick allocation" `Quick test_pick_allocation;
+          QCheck_alcotest.to_alcotest qcheck_one_pass_matches_three_pass;
         ] );
     ]

@@ -326,6 +326,224 @@ let test_due_guard () =
         [ 0, "at the current step"; -3, "at a past step"; 5, "at a future step" ])
     [ Crash, "crash_at", 1; Retire, "retire ~at", 0; Spawn, "spawn_at", 1 ]
 
+(* --- parked awaits ---------------------------------------------------- *)
+
+(* [Runtime.await] parks a task whose first test fails and re-tests the
+   condition at each of its steps. Everything observable must be what
+   the explicit loop [while not (cond ()) do yield () done] gives: each
+   run below is made twice, once per waiting style, and the sink's
+   event stream, the trace fingerprint, the final step, the task's own
+   observations and the RNG state after the run are compared. *)
+type wait_style = Parked | Loop
+
+type interrupt =
+  | Run_out  (* the run ends with the waiter still parked *)
+  | Crash_at of int
+  | Retire_at of int
+  | Stop_at of int  (* run this many steps, then [Runtime.stop] *)
+  | Raise_at of int  (* the condition raises once time reaches this *)
+
+exception Cond_failed of int
+
+(* What one run shows; [parked] is not compared, it places interrupts. *)
+type await_obs = {
+  events : string;  (* the sink's stream *)
+  fingerprint : string;
+  final_step : int;
+  resumed_at : int list;  (* steps at which the waiter got past a wait *)
+  unwound : bool;  (* unwound while waiting *)
+  raised : int option;  (* the step a raising condition failed the run *)
+  report : string;  (* what the runtime printed for it *)
+  rng_next : int64;
+  parked : int list;  (* steps that begin with the waiter waiting *)
+}
+
+let wait style cond =
+  match style with
+  | Parked -> Runtime.await cond
+  | Loop ->
+    while not (cond ()) do
+      Runtime.yield ()
+    done
+
+(* pid 0 runs a waiter that alternates between waiting on pid 1's
+   counter and on time, with a second task beside it, so a parked task
+   is skipped and resumed inside its process's round robin; pid 1 bumps
+   the counter every few of its steps through a shared cell; pid 2
+   writes the cell without end. *)
+let await_run ~style ~policy ~interrupt =
+  let rt = Runtime.create ~seed:11L ~n:3 () in
+  let waiting = ref false in
+  let parked = ref [] in
+  let log = Buffer.create 4096 in
+  let add fmt = Fmt.kstr (Buffer.add_string log) fmt in
+  Runtime.set_sink rt
+    {
+      Sink.active = true;
+      on_step =
+        (fun ~step ~pid ~layer:_ ->
+          if !waiting then parked := step :: !parked;
+          add "s%d:%d " step pid);
+      on_invoke =
+        (fun ~step ~pid ~layer:_ ~obj_id ~obj_name:_ ~op ->
+          add "i%d:%d:%d:%a " step pid obj_id Value.pp op);
+      on_respond =
+        (fun ~step ~pid ~layer:_ ~obj_id ~obj_name:_ ~op:_ ~result ->
+          add "r%d:%d:%d:%a " step pid obj_id Value.pp result);
+      on_signal =
+        (fun ~step ~pid s ->
+          add "g%d:%d:%s " step pid
+            (match s with
+            | Sink.Crash _ -> "crash"
+            | Sink.Retire _ -> "retire"
+            | _ -> "other"));
+    };
+  let cell, _, _, _ = make_cell rt in
+  let counter = ref 0 in
+  let seen = ref [] in
+  let unwound = ref false in
+  let raise_at = match interrupt with Raise_at s -> s | _ -> max_int in
+  Runtime.spawn rt ~pid:0 ~name:"waiter" (fun () ->
+      try
+        for round = 1 to 1_000 do
+          waiting := true;
+          (* raises only from a re-test, i.e. while parked *)
+          let tests = ref 0 in
+          let guard () =
+            incr tests;
+            if !tests > 1 && Runtime.now rt >= raise_at then
+              raise (Cond_failed (Runtime.now rt))
+          in
+          if round mod 3 = 0 then begin
+            let until = Runtime.now rt + 4 in
+            wait style (fun () ->
+                guard ();
+                Runtime.now rt >= until)
+          end
+          else
+            wait style (fun () ->
+                guard ();
+                !counter >= round);
+          waiting := false;
+          seen := Runtime.now rt :: !seen;
+          let (_ : Value.t) =
+            Runtime.call cell (Value.write_op (Value.Int round))
+          in
+          ()
+        done
+      with Runtime.Simulation_over as e ->
+        unwound := !waiting;
+        raise e);
+  Runtime.spawn rt ~pid:0 ~name:"beside" (fun () ->
+      while true do
+        Runtime.yield ()
+      done);
+  Runtime.spawn rt ~pid:1 ~name:"bumper" (fun () ->
+      while true do
+        for _ = 1 to 3 do
+          Runtime.yield ()
+        done;
+        let (_ : Value.t) = Runtime.call cell Value.read_op in
+        incr counter
+      done);
+  Runtime.spawn rt ~pid:2 ~name:"writer" (fun () ->
+      while true do
+        let (_ : Value.t) = Runtime.call cell (Value.write_op (Value.Int 0)) in
+        ()
+      done);
+  (match interrupt with
+  | Crash_at step -> Runtime.crash_at rt ~pid:0 ~step
+  | Retire_at at -> Runtime.retire rt ~at ~pid:0
+  | Run_out | Stop_at _ | Raise_at _ -> ());
+  let steps = match interrupt with Stop_at s -> s | _ -> 400 in
+  let errors = Buffer.create 64 in
+  let raised =
+    let err = Format.err_formatter in
+    let saved = Format.pp_get_formatter_out_functions err () in
+    Format.pp_set_formatter_output_functions err
+      (Buffer.add_substring errors)
+      ignore;
+    let raised =
+      match Runtime.run rt ~policy:(policy ()) ~steps with
+      | () -> None
+      | exception Cond_failed at -> Some at
+    in
+    Format.pp_print_flush err ();
+    Format.pp_set_formatter_out_functions err saved;
+    raised
+  in
+  (match interrupt with Stop_at _ -> Runtime.stop rt | _ -> ());
+  {
+    events = Buffer.contents log;
+    fingerprint = Trace.fingerprint (Runtime.trace rt);
+    final_step = Runtime.now rt;
+    resumed_at = List.rev !seen;
+    unwound = !unwound;
+    raised;
+    report = Buffer.contents errors;
+    rng_next = Rng.next (Rng.copy (Runtime.rng rt));
+    parked = List.rev !parked;
+  }
+
+let await_policies =
+  [
+    ("round robin", fun () -> Policy.round_robin ());
+    ( "patterns",
+      fun () ->
+        Policy.of_patterns
+          [
+            0, Policy.Every { period = 3; offset = 1 };
+            1, Policy.Weighted 1.0;
+            2, Policy.Flicker { active = 7; sleep = 5; growth = 1.3 };
+          ] );
+  ]
+
+(* A crash, retirement or stop lands before the step it is due at, so
+   to land while the waiter is parked it is due at a step that begins
+   with the waiter waiting (the [n]-th such step from step 100 of an
+   uninterrupted run). *)
+let await_interrupts ~policy =
+  let { parked; _ } = await_run ~style:Parked ~policy ~interrupt:Run_out in
+  let parked_step n = List.nth (List.filter (fun s -> s >= 100) parked) n in
+  [
+    "run out", Run_out;
+    "crash while parked", Crash_at (parked_step 0);
+    "retire while parked", Retire_at (parked_step 3);
+    "stop while parked", Stop_at (parked_step 6);
+    "condition raises", Raise_at 150;
+  ]
+
+let test_parked_await_matches_loop () =
+  List.iter
+    (fun (pname, policy) ->
+      List.iter
+        (fun (iname, interrupt) ->
+          let label what = Fmt.str "%s, %s: %s" pname iname what in
+          let p = await_run ~style:Parked ~policy ~interrupt in
+          let l = await_run ~style:Loop ~policy ~interrupt in
+          Alcotest.(check string) (label "sink events") l.events p.events;
+          Alcotest.(check string) (label "trace fingerprint") l.fingerprint
+            p.fingerprint;
+          Alcotest.(check int) (label "final step") l.final_step p.final_step;
+          Alcotest.(check (list int)) (label "resume steps") l.resumed_at
+            p.resumed_at;
+          Alcotest.(check bool) (label "unwound") l.unwound p.unwound;
+          Alcotest.(check (option int)) (label "raised") l.raised p.raised;
+          Alcotest.(check string) (label "raise report") l.report p.report;
+          Alcotest.(check int64) (label "rng after run") l.rng_next p.rng_next;
+          (* the runs must exercise what they are named after *)
+          Alcotest.(check bool) (label "waiter resumed") true
+            (List.length p.resumed_at >= 5);
+          (match interrupt with
+          | Crash_at _ | Retire_at _ | Stop_at _ ->
+            Alcotest.(check bool) (label "waiter was unwound") true p.unwound
+          | Raise_at _ ->
+            Alcotest.(check bool) (label "condition raised") true
+              (p.raised <> None && p.report <> "")
+          | Run_out -> ()))
+        (await_interrupts ~policy))
+    await_policies
+
 let () =
   Alcotest.run "runtime"
     [
@@ -349,6 +567,8 @@ let () =
           Alcotest.test_case "self" `Quick test_self;
           Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
           Alcotest.test_case "await" `Quick test_await;
+          Alcotest.test_case "parked await matches the yield loop" `Quick
+            test_parked_await_matches_loop;
           Alcotest.test_case "stop unwinds tasks" `Quick test_stop_unwinds_tasks;
           Alcotest.test_case "spawn during run" `Quick test_spawn_during_run;
           Alcotest.test_case "idle steps advance time" `Quick

@@ -439,6 +439,137 @@ let test_world_catalogue_cells () =
        c);
   Alcotest.(check int) "every shard ran" 5 !seen
 
+(* --- tee pass-through ------------------------------------------------- *)
+
+(* A tee hands back the live side's own handler wherever the other side
+   is [Sink.nil]'s, and wraps only where both sides listen. *)
+let test_tee_pass_through () =
+  let live =
+    {
+      Sink.active = true;
+      on_step = (fun ~step:_ ~pid:_ ~layer:_ -> ());
+      on_invoke = (fun ~step:_ ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ -> ());
+      on_respond =
+        (fun ~step:_ ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ~result:_ -> ());
+      on_signal = (fun ~step:_ ~pid:_ _ -> ());
+    }
+  in
+  let same_handlers what (a : Sink.t) (b : Sink.t) =
+    Alcotest.(check bool) (what ^ ": on_step") true (a.on_step == b.on_step);
+    Alcotest.(check bool) (what ^ ": on_invoke") true (a.on_invoke == b.on_invoke);
+    Alcotest.(check bool) (what ^ ": on_respond") true
+      (a.on_respond == b.on_respond);
+    Alcotest.(check bool) (what ^ ": on_signal") true (a.on_signal == b.on_signal)
+  in
+  same_handlers "tee live nil" (Sink.tee live Sink.nil) live;
+  same_handlers "tee nil live" (Sink.tee Sink.nil live) live;
+  Alcotest.(check bool) "tee live nil is active" true
+    (Sink.tee live Sink.nil).Sink.active;
+  let online =
+    Tbwf_check.Degradation.Online.sink
+      (Tbwf_check.Degradation.Online.create
+         {
+           Tbwf_check.Degradation.pred_n = 2;
+           pred_timely = [ 0; 1 ];
+           pred_from = 0;
+           pred_bound = 8;
+           pred_emergent = None;
+         })
+  in
+  let both = Sink.tee live online in
+  Alcotest.(check bool) "checker skipped on invokes" true
+    (both.on_invoke == live.on_invoke);
+  Alcotest.(check bool) "checker skipped on responds" true
+    (both.on_respond == live.on_respond);
+  Alcotest.(check bool) "both sides get steps" false
+    (both.on_step == live.on_step || both.on_step == online.on_step)
+
+(* [World.run_shard] tees the collector and the online checker into one
+   sink. Re-running a shard with each of them installed alone — the
+   shard rebuilt as [run_shard] builds it — must give the same collector
+   snapshot and the same verdict. *)
+let op_of_key ~pid ~k ~key =
+  let name = "k" ^ string_of_int key in
+  if k land 1 = 0 then Tbwf_objects.Kv_store.put name (Value.Int pid)
+  else Tbwf_objects.Kv_store.get name
+
+let rerun_shard (c : World.config) (r : World.shard_result) ~alone =
+  let open Tbwf_nemesis in
+  let plan = r.World.ws_plan in
+  let abort_policy target =
+    Fault_plan.abort_policy plan ~target ~base:Abort_policy.Always
+  in
+  let churn = r.World.ws_campaign = None in
+  let seed = Rng.task_seed ~master:c.World.seed r.World.ws_shard in
+  let stack =
+    System.build ~substrate:c.World.substrate ~seed ~record_trace:false
+      ~qa_policy:(abort_policy Fault_plan.Qa)
+      ~mesh_policy:(abort_policy Fault_plan.Omega_mesh)
+      ?spec:(if churn then Some Tbwf_objects.Kv_store.spec else None)
+      ?client_pids:(if churn then Some [] else None)
+      ~telemetry:true ~telemetry_window:c.World.window
+      ?telemetry_retain:c.World.retain ~n:c.World.n r.World.ws_system
+  in
+  let rt = stack.System.rt in
+  let telemetry = Option.get stack.System.telemetry in
+  if churn then begin
+    let joiners = r.World.ws_churn.World.ch_joins in
+    let client pid =
+      Tbwf_core.Workload.Open_loop.client_body rt ~pid ~stats:stack.System.stats
+        ~invoke:stack.System.invoke ~profile:c.World.profile ~seed
+        ~until:c.World.horizon ~op_of_key
+    in
+    Tbwf_core.Workload.Open_loop.spawn_clients rt
+      ~pids:(List.init (c.World.n - List.length joiners) Fun.id)
+      ~stats:stack.System.stats ~invoke:stack.System.invoke
+      ~profile:c.World.profile ~seed ~until:c.World.horizon ~op_of_key;
+    List.iter
+      (fun (pid, at) ->
+        Runtime.spawn_at ~layer:Sink.App rt ~pid ~at ~name:"open-loop"
+          (client pid))
+      joiners
+  end;
+  Fault_plan.install_crashes plan rt;
+  let _, prediction, min_ops =
+    Campaign.tail_contract ~substrate:c.World.substrate plan
+  in
+  let online = Tbwf_check.Degradation.Online.create ~min_ops prediction in
+  Runtime.set_sink rt
+    (match alone with
+    | `Collector -> Tbwf_telemetry.Collector.sink telemetry
+    | `Online -> Tbwf_check.Degradation.Online.sink online);
+  Runtime.run rt ~policy:(Fault_plan.policy plan) ~steps:c.World.horizon;
+  Runtime.stop rt;
+  ( Tbwf_telemetry.Collector.snapshot_string telemetry,
+    Tbwf_check.Degradation.Online.verdict online )
+
+let test_tee_shard_equals_each_sink_alone () =
+  let check (c : World.config) shard =
+    let r = World.run_shard c ~shard in
+    let label = Fmt.str "%s shard %d"
+        (match c.World.cells with World.Churn -> "churn" | _ -> "catalogue")
+        shard
+    in
+    let snapshot, _ = rerun_shard c r ~alone:`Collector in
+    let _, verdict = rerun_shard c r ~alone:`Online in
+    Alcotest.(check string) (label ^ ": collector snapshot") snapshot
+      (Tbwf_telemetry.Collector.snapshot_string r.World.ws_telemetry);
+    Alcotest.(check bool) (label ^ ": verdict") true
+      (verdict = r.World.ws_verdict)
+  in
+  let churn = { World.default with World.horizon = 16_000 } in
+  List.iter (check churn) [ 0; 1; 2 ];
+  let catalogue =
+    {
+      World.default with
+      World.cells = World.Catalogue;
+      horizon = 24_000;
+      systems = [ System.Tbwf_atomic; System.Naive_booster ];
+    }
+  in
+  (* shards 4 and 5 run the third catalogue campaign *)
+  List.iter (check catalogue) [ 0; 3; 4; 5 ]
+
 let test_world_deterministic_aggregate () =
   let run () =
     Tbwf_telemetry.Json.to_string (World.run small_world).World.sum_json
@@ -597,6 +728,9 @@ let () =
             test_world_churn_accounting;
           Alcotest.test_case "catalogue cells" `Quick
             test_world_catalogue_cells;
+          Alcotest.test_case "tee pass-through" `Quick test_tee_pass_through;
+          Alcotest.test_case "teed shard = each sink alone" `Quick
+            test_tee_shard_equals_each_sink_alone;
           Alcotest.test_case "deterministic aggregate" `Quick
             test_world_deterministic_aggregate;
           Alcotest.test_case "stable schedules" `Quick
