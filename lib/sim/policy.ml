@@ -102,33 +102,148 @@ type slowing_state = {
   mutable burst_left : int;
 }
 
-(* Everything [of_patterns] keeps per pid, in tables indexed by pid and
-   grown together (see [fit]). Flicker and slowing state are created at
-   the first step that resolves that pattern for that pid, and are kept
-   per pid across [Switch_at]s. *)
+(* Everything [of_patterns] keeps, compiled per segment: the widest step
+   interval [seg_lo, seg_hi) on which no named pid's [Switch_at] chain
+   resolves differently. On a segment, every named pid has one leaf
+   pattern, and the [Every] leaves become a claim calendar: for each
+   residue of [step mod cal_len] (the lcm of their periods), the pids due
+   on it, ascending, at [cal_pids.(cal_start.(r) .. cal_start.(r+1)-1)].
+   [Every] pids that would grow the calendar past [calendar_cells], and
+   [Slowing] pids, are [tested] on every step instead.
+
+   Pid-indexed tables grow (see [fit]) for the pids the runtime hands
+   over: pids past the plan are [Weighted 1.0]. Flicker and slowing state
+   are created at the first step that finds that pid runnable under that
+   pattern, and are kept per pid across [Switch_at]s. *)
 type patterns = {
-  mutable assigned : pattern array;  (* unnamed pids: [Weighted 1.0] *)
+  assigned : pattern array;  (* per named pid; unlisted ones [Weighted 1.0] *)
+  flickers : flicker_state option array;  (* per named pid *)
+  slowers : slowing_state option array;  (* per named pid *)
+  mutable leaves : pattern array;  (* each pid's leaf on the segment *)
   mutable last_run : int array;  (* -1 = never ran *)
-  mutable flickers : flicker_state option array;
-  mutable slowers : slowing_state option array;
   mutable weights : float array;  (* this spare step's weight per pid *)
+  mutable picks : int option array;  (* [Some pid], allocated once *)
+  mutable seg_lo : int;
+  mutable seg_hi : int;
+  mutable cal_len : int;
+  mutable cal_start : int array;
+  mutable cal_pids : int array;
+  mutable tested : int array;
+  mutable soft : bool;  (* a named pid is [Weighted] or [Flicker] *)
+  mutable cal_step : int;  (* the last step looked up, and its residue *)
+  mutable cal_res : int;
 }
 
 let default_pattern = Weighted 1.0
 
-let fit_patterns st (pid : int) =
-  if pid >= Array.length st.assigned then begin
-    st.assigned <- fit st.assigned pid default_pattern;
-    st.last_run <- fit st.last_run pid (-1);
-    st.flickers <- fit st.flickers pid None;
-    st.slowers <- fit st.slowers pid None;
-    st.weights <- fit st.weights pid 0.0
-  end
+(* Calendar residues plus entries, at most: a plan whose [Every] periods
+   have a larger lcm tests the rest of its [Every] pids with [mod]. *)
+let calendar_cells = 4096
 
-let rec resolve (step : int) = function
+let grow_patterns st (pid : int) =
+  st.leaves <- fit st.leaves pid default_pattern;
+  st.last_run <- fit st.last_run pid (-1);
+  st.weights <- fit st.weights pid 0.0;
+  st.picks <- Array.init (Array.length st.leaves) Option.some
+
+(* [pattern]'s leaf at [step], narrowing the segment to the steps on
+   which the same leaf is reached. *)
+let rec resolve st (step : int) = function
   | Switch_at (s, before, after) ->
-    if step < s then resolve step before else resolve step after
+    if step < s then begin
+      if s < st.seg_hi then st.seg_hi <- s;
+      resolve st step before
+    end
+    else begin
+      if s > st.seg_lo then st.seg_lo <- s;
+      resolve st step after
+    end
   | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as p -> p
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* Compile the segment holding [step]. *)
+let compile st step =
+  st.seg_lo <- min_int;
+  st.seg_hi <- max_int;
+  let timely = ref [] and tested = ref [] and soft = ref false in
+  for p = Array.length st.assigned - 1 downto 0 do
+    let leaf = resolve st step st.assigned.(p) in
+    st.leaves.(p) <- leaf;
+    match leaf with
+    | Every { period; offset } -> timely := (p, period, offset) :: !timely
+    | Slowing _ -> tested := p :: !tested
+    | Weighted _ | Flicker _ -> soft := true
+    | Silent | Switch_at _ -> ()
+  done;
+  (* admit [Every] pids in pid order while residues plus entries fit *)
+  let len = ref 1 and entries = ref 0 in
+  let admitted =
+    List.filter
+      (fun (p, period, _) ->
+        let fits =
+          period <= calendar_cells
+          &&
+          let l = !len / gcd !len period * period in
+          let e = (!entries * (l / !len)) + (l / period) in
+          l + e <= calendar_cells
+          && begin
+            len := l;
+            entries := e;
+            true
+          end
+        in
+        if not fits then tested := p :: !tested;
+        fits)
+      !timely
+  in
+  let len = !len in
+  (* consing the pids in descending order leaves each residue ascending *)
+  let due = Array.make len [] in
+  List.iter
+    (fun (p, period, offset) ->
+      let r = ref (((offset mod period) + period) mod period) in
+      while !r < len do
+        due.(!r) <- p :: due.(!r);
+        r := !r + period
+      done)
+    (List.rev admitted);
+  let start = Array.make (len + 1) 0 in
+  Array.iteri (fun r ps -> start.(r + 1) <- start.(r) + List.length ps) due;
+  st.cal_len <- len;
+  st.cal_start <- start;
+  st.cal_pids <- Array.of_list (List.concat (Array.to_list due));
+  st.tested <- Array.of_list !tested;
+  st.soft <- !soft;
+  st.cal_step <- min_int
+
+(* [step mod cal_len], without a division when steps run consecutively *)
+let[@inline] residue st step =
+  let r =
+    if step = st.cal_step + 1 then
+      let r = st.cal_res + 1 in
+      if r = st.cal_len then 0 else r
+    else
+      let r = step mod st.cal_len in
+      if r < 0 then r + st.cal_len else r
+  in
+  st.cal_step <- step;
+  st.cal_res <- r;
+  r
+
+(* [runnable] holds distinct pids in ascending order, so [pid] sits at
+   an index of at most [pid]: at exactly [pid] while no lower pid is
+   missing, and otherwise found by bisection. *)
+let search (pid : int) (runnable : int array) =
+  let lo = ref 0 and hi = ref (Int.min (pid + 1) (Array.length runnable)) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if runnable.(mid) < pid then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length runnable && runnable.(!lo) = pid
+
+let[@inline] mem_sorted (pid : int) (runnable : int array) =
+  (pid < Array.length runnable && runnable.(pid) = pid) || search pid runnable
 
 let slowing_state st (pid : int) (step : int) (initial_gap : int)
     (burst : int) =
@@ -168,50 +283,56 @@ let flicker_awake st (pid : int) (step : int) (active : int) (sleep : int)
   done;
   f.awake
 
-(* One scan of [runnable] finds the hard claimant (an [Every] due on
-   [step] or a due [Slowing]), the spare claimant (any [Every], willing
-   but maybe not due) — each the least recently run, the first in pid
-   order on ties — and whether any [Weighted] or [Flicker] pid could take
-   a soft step. Weights are built, and a draw made, only in that case:
-   with no soft pid every weight is 0, and [weighted_pick] would return
-   -1 without drawing. Flicker state is touched only by that weight pass,
-   so it is created at the same step as when every spare step built it. *)
+(* The hard claimant is the least recently run, the lowest pid on ties,
+   of the runnable pids that are due: by the calendar, or by their own
+   test for [tested] pids. Failing one, soft pids share the step by
+   weight — built, and a draw made, only when a soft pid may be runnable:
+   with none every weight is 0 and [weighted_pick] returns -1 without
+   drawing. Failing that too, the step goes to the least recently run
+   willing [Every] pid. *)
 let pick_pattern st ~step ~runnable ~rng =
   let len = Array.length runnable in
   if len = 0 then None
   else begin
-    fit_patterns st runnable.(len - 1);
-    let hard = ref (-1) and hard_ran = ref max_int in
-    let spare = ref (-1) and spare_ran = ref max_int in
-    let soft = ref false in
-    for i = 0 to len - 1 do
-      let p = runnable.(i) in
-      let ran = st.last_run.(p) in
-      match resolve step st.assigned.(p) with
-      | Every { period; offset } ->
-        if ran < !spare_ran then begin
-          spare := p;
-          spare_ran := ran
-        end;
-        if (step - offset) mod period = 0 && ran < !hard_ran then begin
-          hard := p;
-          hard_ran := ran
+    let top = runnable.(len - 1) in
+    if top >= Array.length st.leaves then grow_patterns st top;
+    if step < st.seg_lo || step >= st.seg_hi then compile st step;
+    let r = residue st step in
+    (* the calendar lists due pids ascending: on ties the first stays *)
+    let claimant = ref (-1) and claimant_ran = ref max_int in
+    for i = st.cal_start.(r) to st.cal_start.(r + 1) - 1 do
+      let p = st.cal_pids.(i) in
+      if mem_sorted p runnable then begin
+        let ran = st.last_run.(p) in
+        if ran < !claimant_ran then begin
+          claimant := p;
+          claimant_ran := ran
         end
-      | Slowing { initial_gap; growth = _; burst } ->
-        if
-          step >= (slowing_state st p step initial_gap burst).due
-          && ran < !hard_ran
-        then begin
-          hard := p;
-          hard_ran := ran
-        end
-      | Weighted _ | Flicker _ -> soft := true
-      | Silent | Switch_at _ -> ()
+      end
     done;
-    let claimant = !hard in
+    for i = 0 to Array.length st.tested - 1 do
+      let p = st.tested.(i) in
+      if
+        mem_sorted p runnable
+        &&
+        match st.leaves.(p) with
+        | Every { period; offset } -> (step - offset) mod period = 0
+        | Slowing { initial_gap; growth = _; burst } ->
+          step >= (slowing_state st p step initial_gap burst).due
+        | Weighted _ | Flicker _ | Silent | Switch_at _ -> false
+      then begin
+        let ran = st.last_run.(p) in
+        if ran < !claimant_ran || (ran = !claimant_ran && p < !claimant)
+        then begin
+          claimant := p;
+          claimant_ran := ran
+        end
+      end
+    done;
+    let claimant = !claimant in
     if claimant >= 0 then begin
       st.last_run.(claimant) <- step;
-      (match resolve step st.assigned.(claimant) with
+      (match st.leaves.(claimant) with
       | Slowing { initial_gap; growth; burst } ->
         let s = slowing_state st claimant step initial_gap burst in
         if s.burst_left > 1 then s.burst_left <- s.burst_left - 1
@@ -221,16 +342,16 @@ let pick_pattern st ~step ~runnable ~rng =
           s.gap <- s.gap *. growth
         end
       | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ());
-      Some claimant
+      st.picks.(claimant)
     end
     else begin
       let chosen =
-        if not !soft then -1
+        if not (st.soft || top >= Array.length st.assigned) then -1
         else begin
           for i = 0 to len - 1 do
             let p = runnable.(i) in
             st.weights.(p) <-
-              (match resolve step st.assigned.(p) with
+              (match st.leaves.(p) with
               | Weighted w -> w
               | Flicker { active; sleep; growth } ->
                 if flicker_awake st p step active sleep growth then 1.0 else 0.0
@@ -244,27 +365,67 @@ let pick_pattern st ~step ~runnable ~rng =
          off-claim [Every] process (it is willing, merely not due), so
          runs made only of timely processes keep progressing; if truly
          everyone is silent, let the step pass idle. *)
-      let chosen = if chosen >= 0 then chosen else !spare in
+      let chosen =
+        if chosen >= 0 then chosen
+        else begin
+          let spare = ref (-1) and spare_ran = ref max_int in
+          for i = 0 to len - 1 do
+            let p = runnable.(i) in
+            match st.leaves.(p) with
+            | Every _ ->
+              let ran = st.last_run.(p) in
+              if ran < !spare_ran then begin
+                spare := p;
+                spare_ran := ran
+              end
+            | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ -> ()
+          done;
+          !spare
+        end
+      in
       if chosen < 0 then None
       else begin
         st.last_run.(chosen) <- step;
-        Some chosen
+        st.picks.(chosen)
       end
     end
   end
 
+let rec check_periods pid = function
+  | Every { period; _ } when period < 1 ->
+    invalid_arg
+      (Fmt.str "Policy.of_patterns: pid %d has Every period %d (< 1)" pid period)
+  | Switch_at (_, before, after) ->
+    check_periods pid before;
+    check_periods pid after
+  | Every _ | Weighted _ | Flicker _ | Slowing _ | Silent -> ()
+
 let of_patterns ?(name = "patterns") assignments =
+  List.iter (fun (pid, p) -> check_periods pid p) assignments;
   let cap = List.fold_left (fun m (p, _) -> Int.max m (p + 1)) 0 assignments in
+  let assigned = Array.make cap default_pattern in
+  List.iter (fun (pid, p) -> if pid >= 0 then assigned.(pid) <- p) assignments;
   let st =
     {
-      assigned = Array.make cap default_pattern;
-      last_run = Array.make cap (-1);
+      assigned;
       flickers = Array.make cap None;
       slowers = Array.make cap None;
+      leaves = Array.make cap default_pattern;
+      last_run = Array.make cap (-1);
       weights = Array.make cap 0.0;
+      picks = Array.init cap Option.some;
+      (* an empty segment: the first pick compiles *)
+      seg_lo = max_int;
+      seg_hi = min_int;
+      cal_len = 1;
+      cal_start = [| 0; 0 |];
+      cal_pids = [||];
+      tested = [||];
+      soft = false;
+      cal_step = min_int;
+      cal_res = 0;
     }
   in
-  List.iter (fun (pid, p) -> if pid >= 0 then st.assigned.(pid) <- p) assignments;
   let next ~step ~runnable ~rng = pick_pattern st ~step ~runnable ~rng in
   { name; next; script_branching = ref [] }
 

@@ -54,8 +54,24 @@ type pattern =
 val of_patterns : ?name:string -> (int * pattern) list -> t
 (** Compile per-pid patterns. Pids not listed behave as [Weighted 1.0].
     Hard claims win over soft participants; simultaneous hard claims are
-    served least-recently-run first, so a set of [Every] processes with the
-    same period remains timely (with a proportionally larger bound). *)
+    served least-recently-run first, the lowest pid on ties, so a set of
+    [Every] processes with the same period remains timely (with a
+    proportionally larger bound). With no hard claim, soft participants
+    share the step by weight (a random draw is made only when a soft pid
+    may be runnable); with none of those, the least recently run willing
+    [Every] process takes it.
+
+    The plan is compiled once per segment, the widest step interval on
+    which no pid's [Switch_at] chain resolves differently: each named
+    pid's leaf is resolved once, and the [Every] leaves become a calendar
+    of the pids due on each residue of the step modulo the lcm of their
+    periods ([Every] pids that would push it past 4096 cells are tested
+    with [mod] on every step instead). A pick is then a calendar lookup
+    plus a membership test per due pid. Steps may be passed in any order:
+    a step outside the current segment recompiles.
+
+    @raise Invalid_argument naming the pid if an [Every] has a period
+    below 1, also inside a [Switch_at]. *)
 
 val solo_after : n:int -> pid:int -> step:int -> t
 (** All processes run with equal weight before [step]; afterwards only

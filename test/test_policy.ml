@@ -322,30 +322,218 @@ let test_schedule_golden () =
   end
 
 (* Picks are on every world step, so their allocation is gated exactly:
-   [Gc.minor_words] is a deterministic count. The pick function is taken
-   out of the policy once, as a release build does when it inlines
-   [Policy.next]: applying [Policy.next] to all four arguments through an
-   opaque module boundary (dune's dev profile) allocates by itself. *)
+   [Gc.minor_words] is a deterministic count, and a pick allocates
+   nothing once its plan is compiled (the first pick compiles it). The
+   pick function is taken out of the policy once, as a release build
+   does when it inlines [Policy.next]: applying [Policy.next] to all four
+   arguments through an opaque module boundary (dune's dev profile)
+   allocates by itself. *)
 let test_pick_allocation () =
   let policy, sets = world_case () in
   let next = Policy.next policy in
   let rng = Rng.create 17L in
-  let picks = 10_000 in
+  ignore (next ~step:0 ~runnable:sets.(0) ~rng);
   let before = Gc.minor_words () in
-  for step = 0 to picks - 1 do
+  for step = 1 to 10_000 do
     ignore (next ~step ~runnable:sets.(step) ~rng)
   done;
-  let per_pick = (Gc.minor_words () -. before) /. float_of_int picks in
-  Alcotest.(check bool)
-    (Fmt.str "%.1f minor words per pick <= 8" per_pick)
-    true (per_pick <= 8.0)
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words in 10,000 picks" 0.0 words
 
-(* --- one-pass picks against the three-pass model ---------------------- *)
+(* --- compiled picks against the one-pass model ------------------------ *)
+
+(* The pattern pick as it was before it was compiled per segment: pid-
+   indexed tables, and one scan of [runnable] per step that resolves each
+   pid's [Switch_at] chain and tests its [Every] claim with [mod]. It
+   finds the hard claimant (an [Every] due on [step] or a due [Slowing]),
+   the spare claimant (any [Every]) — each the least recently run, the
+   first in pid order on ties — and whether a [Weighted] or [Flicker] pid
+   could take a soft step; weights are built, and a draw made, only then.
+   The compiled pick must match it pick for pick and draw for draw. *)
+module One_pass = struct
+  open Policy
+
+  type flicker = { mutable awake : bool; mutable phase_end : int;
+                   mutable sleep_len : float }
+
+  type slowing = { mutable due : int; mutable gap : float;
+                   mutable burst_left : int }
+
+  type t = {
+    mutable assigned : pattern array;
+    mutable last_run : int array;
+    mutable flickers : flicker option array;
+    mutable slowers : slowing option array;
+    mutable weights : float array;
+  }
+
+  let fit a pid fill =
+    let len = Array.length a in
+    if pid < len then a
+    else begin
+      let b = Array.make (Int.max (2 * len) (pid + 1)) fill in
+      Array.blit a 0 b 0 len;
+      b
+    end
+
+  let fit_patterns t pid =
+    if pid >= Array.length t.assigned then begin
+      t.assigned <- fit t.assigned pid (Weighted 1.0);
+      t.last_run <- fit t.last_run pid (-1);
+      t.flickers <- fit t.flickers pid None;
+      t.slowers <- fit t.slowers pid None;
+      t.weights <- fit t.weights pid 0.0
+    end
+
+  let rec resolve step = function
+    | Switch_at (s, before, after) ->
+      if step < s then resolve step before else resolve step after
+    | p -> p
+
+  let slowing_state t p step initial_gap burst =
+    match t.slowers.(p) with
+    | Some s -> s
+    | None ->
+      let s = { due = step; gap = float_of_int initial_gap; burst_left = burst } in
+      t.slowers.(p) <- Some s;
+      s
+
+  let flicker_awake t p step active sleep growth =
+    let f =
+      match t.flickers.(p) with
+      | Some f -> f
+      | None ->
+        let f =
+          { awake = true; phase_end = step + active;
+            sleep_len = float_of_int sleep }
+        in
+        t.flickers.(p) <- Some f;
+        f
+    in
+    while step >= f.phase_end do
+      if f.awake then begin
+        f.awake <- false;
+        f.phase_end <- f.phase_end + int_of_float f.sleep_len;
+        f.sleep_len <- f.sleep_len *. growth
+      end
+      else begin
+        f.awake <- true;
+        f.phase_end <- f.phase_end + active
+      end
+    done;
+    f.awake
+
+  let weighted_pick rng weights runnable =
+    let len = Array.length runnable in
+    let total = ref 0.0 in
+    Array.iter (fun p -> total := !total +. weights.(p)) runnable;
+    if !total <= 0.0 then -1
+    else begin
+      let target = Rng.float rng *. !total in
+      let acc = ref 0.0 and chosen = ref (-1) and i = ref 0 in
+      while !chosen < 0 && !i < len do
+        let p = runnable.(!i) in
+        acc := !acc +. weights.(p);
+        if !acc > target then chosen := p;
+        incr i
+      done;
+      if !chosen < 0 then runnable.(len - 1) else !chosen
+    end
+
+  let pick t ~step ~runnable ~rng =
+    let len = Array.length runnable in
+    if len = 0 then None
+    else begin
+      fit_patterns t runnable.(len - 1);
+      let hard = ref (-1) and hard_ran = ref max_int in
+      let spare = ref (-1) and spare_ran = ref max_int in
+      let soft = ref false in
+      Array.iter
+        (fun p ->
+          let ran = t.last_run.(p) in
+          match resolve step t.assigned.(p) with
+          | Every { period; offset } ->
+            if ran < !spare_ran then begin
+              spare := p;
+              spare_ran := ran
+            end;
+            if (step - offset) mod period = 0 && ran < !hard_ran then begin
+              hard := p;
+              hard_ran := ran
+            end
+          | Slowing { initial_gap; burst; _ } ->
+            if
+              step >= (slowing_state t p step initial_gap burst).due
+              && ran < !hard_ran
+            then begin
+              hard := p;
+              hard_ran := ran
+            end
+          | Weighted _ | Flicker _ -> soft := true
+          | Silent | Switch_at _ -> ())
+        runnable;
+      let claimant = !hard in
+      if claimant >= 0 then begin
+        t.last_run.(claimant) <- step;
+        (match resolve step t.assigned.(claimant) with
+        | Slowing { initial_gap; growth; burst } ->
+          let s = slowing_state t claimant step initial_gap burst in
+          if s.burst_left > 1 then s.burst_left <- s.burst_left - 1
+          else begin
+            s.burst_left <- Int.max 1 burst;
+            s.due <- step + int_of_float s.gap;
+            s.gap <- s.gap *. growth
+          end
+        | _ -> ());
+        Some claimant
+      end
+      else begin
+        let chosen =
+          if not !soft then -1
+          else begin
+            Array.iter
+              (fun p ->
+                t.weights.(p) <-
+                  (match resolve step t.assigned.(p) with
+                  | Weighted w -> w
+                  | Flicker { active; sleep; growth } ->
+                    if flicker_awake t p step active sleep growth then 1.0
+                    else 0.0
+                  | _ -> 0.0))
+              runnable;
+            weighted_pick rng t.weights runnable
+          end
+        in
+        let chosen = if chosen >= 0 then chosen else !spare in
+        if chosen < 0 then None
+        else begin
+          t.last_run.(chosen) <- step;
+          Some chosen
+        end
+      end
+    end
+
+  let of_patterns assignments =
+    let cap = List.fold_left (fun m (p, _) -> Int.max m (p + 1)) 0 assignments in
+    let t =
+      {
+        assigned = Array.make cap (Weighted 1.0);
+        last_run = Array.make cap (-1);
+        flickers = Array.make cap None;
+        slowers = Array.make cap None;
+        weights = Array.make cap 0.0;
+      }
+    in
+    List.iter (fun (p, pat) -> if p >= 0 then t.assigned.(p) <- pat) assignments;
+    pick t
+end
+
+(* --- the one-pass model against the three-pass model ------------------ *)
 
 (* The pattern pick as it was written before it became one scan: a
    hard-claim pass, then a weight pass and a weighted draw, then a
    spare-claim pass. It keeps its own per-pid state, as [of_patterns]
-   does, and serves as the reference the one-pass pick must match pick
+   does, and serves as the reference the one-pass model must match pick
    for pick and draw for draw. *)
 module Three_pass = struct
   open Policy
@@ -533,6 +721,28 @@ let random_runnable rng ~pids prev =
     Array.of_list
       (List.filter (fun _ -> Rng.bool rng 0.6) (List.init pids Fun.id))
 
+(* Run [got] and [want] side by side, each with its own copy of one RNG,
+   at the steps [next_step] walks from 0 over the sets [next_runnable]
+   draws, and fail at the first step whose pick or RNG state differs. *)
+let agree ~seed ~steps ~next_step ~next_runnable got want =
+  let rng = Rng.create (Int64.of_int (seed * 31)) in
+  let rng_model = Rng.copy rng in
+  let step = ref 0 and runnable = ref [||] in
+  for i = 0 to steps - 1 do
+    if i > 0 then step := next_step !step;
+    runnable := next_runnable !step !runnable;
+    let step = !step and runnable = !runnable in
+    let got = got ~step ~runnable ~rng in
+    let want = want ~step ~runnable ~rng:rng_model in
+    if got <> want then
+      QCheck.Test.fail_reportf "step %d: pick %a, model %a" step
+        Fmt.(option ~none:(any "idle") int) got
+        Fmt.(option ~none:(any "idle") int) want;
+    if Rng.next (Rng.copy rng) <> Rng.next (Rng.copy rng_model) then
+      QCheck.Test.fail_reportf "step %d: rng state differs" step
+  done;
+  true
+
 let qcheck_one_pass_matches_three_pass =
   QCheck.Test.make ~name:"one-pass picks equal the three-pass model" ~count:300
     QCheck.(int_range 1 1_000_000)
@@ -542,23 +752,125 @@ let qcheck_one_pass_matches_three_pass =
       let named = 1 + Rng.int gen 6 in
       let assignments = random_assignments gen ~named ~horizon in
       let pids = named + Rng.int gen 3 in
-      let policy = Policy.of_patterns assignments in
-      let model = Three_pass.of_patterns assignments in
-      let rng = Rng.create (Int64.of_int (seed * 31)) in
-      let rng_model = Rng.copy rng in
-      let runnable = ref [||] in
-      for step = 0 to horizon - 1 do
-        runnable := random_runnable gen ~pids !runnable;
-        let got = Policy.next policy ~step ~runnable:!runnable ~rng in
-        let want = model ~step ~runnable:!runnable ~rng:rng_model in
-        if got <> want then
-          QCheck.Test.fail_reportf "step %d: pick %a, model %a" step
-            Fmt.(option ~none:(any "idle") int) got
-            Fmt.(option ~none:(any "idle") int) want;
-        if Rng.next (Rng.copy rng) <> Rng.next (Rng.copy rng_model) then
-          QCheck.Test.fail_reportf "step %d: rng state differs" step
-      done;
-      true)
+      agree ~seed ~steps:horizon ~next_step:succ
+        ~next_runnable:(fun _ prev -> random_runnable gen ~pids prev)
+        (One_pass.of_patterns assignments)
+        (Three_pass.of_patterns assignments))
+
+(* A plan made mostly of [Every] pids, so most segments are all-[Every]:
+   periods that share the lcm 12, pairwise coprime ones whose lcm
+   outgrows the calendar, and ones past the calendar on their own (due
+   once in the run); offsets below 0, inside the period and past it;
+   [Switch_at]s inside the run; now and then a silent, slowing or soft
+   pid. *)
+let every_assignments rng ~named ~horizon =
+  let every () =
+    let period, due =
+      match Rng.int rng 4 with
+      | 0 | 1 ->
+        let period = Rng.pick rng [| 1; 2; 3; 4; 6; 12 |] in
+        period, Rng.int rng period
+      | 2 ->
+        let period = Rng.pick rng [| 5; 7; 11; 13 |] in
+        period, Rng.int rng period
+      | _ -> Rng.pick rng [| 4099; 5003 |], Rng.int rng horizon
+    in
+    Policy.Every { period; offset = due + ((Rng.int rng 3 - 1) * period) }
+  in
+  let rec pattern depth =
+    match Rng.int rng 20 with
+    | 0 -> Policy.Silent
+    | 1 -> Policy.Slowing { initial_gap = Rng.int rng 6; growth = 1.3; burst = 2 }
+    | 2 ->
+      if Rng.bool rng 0.5 then Policy.Weighted 1.0
+      else Policy.Flicker { active = 5; sleep = 9; growth = 1.5 }
+    | (3 | 4 | 5) when depth < 2 ->
+      Policy.Switch_at (Rng.int rng horizon, pattern (depth + 1), pattern (depth + 1))
+    | _ -> every ()
+  in
+  List.init named (fun p -> p, pattern 0)
+
+(* The [Every] pids of [assignments] due at [step]; a pid named twice
+   takes its later pattern, as in [of_patterns]. *)
+let due_pids assignments step =
+  let rec leaf = function
+    | Policy.Switch_at (s, before, after) -> leaf (if step < s then before else after)
+    | p -> p
+  in
+  let latest =
+    List.fold_left
+      (fun acc (p, pat) -> if p >= 0 then (p, pat) :: List.remove_assoc p acc else acc)
+      [] assignments
+  in
+  List.filter_map
+    (fun (p, pat) ->
+      match leaf pat with
+      | Policy.Every { period; offset } when (step - offset) mod period = 0 -> Some p
+      | _ -> None)
+    latest
+
+let qcheck_compiled_matches_one_pass =
+  QCheck.Test.make ~name:"compiled picks equal the one-pass model" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let gen = Rng.create (Int64.of_int seed) in
+      let horizon = 600 in
+      let named = 1 + Rng.int gen 8 in
+      let assignments =
+        if Rng.bool gen 0.7 then every_assignments gen ~named ~horizon
+        else random_assignments gen ~named ~horizon
+      in
+      let pids = named + Rng.int gen 3 in
+      let all = List.init pids Fun.id in
+      (* in half the runs the steps now and then jump, backwards too *)
+      let jumps = Rng.bool gen 0.5 in
+      let next_step step =
+        if jumps && Rng.int gen 40 = 0 then Rng.int gen horizon else step + 1
+      in
+      let next_runnable step prev =
+        match Rng.int gen 10 with
+        | 0 | 1 -> (
+          (* everyone but a pid that is due *)
+          match due_pids assignments step with
+          | [] -> Array.of_list all
+          | due ->
+            let d = List.nth due (Rng.int gen (List.length due)) in
+            Array.of_list (List.filter (( <> ) d) all))
+        | 2 | 3 -> random_runnable gen ~pids [||]
+        | _ -> if prev = [||] then Array.of_list all else prev
+      in
+      agree ~seed ~steps:horizon ~next_step ~next_runnable
+        (Policy.next (Policy.of_patterns assignments))
+        (One_pass.of_patterns assignments))
+
+let test_bad_period_rejected () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let rejects name pid assignments =
+    match Policy.of_patterns assignments with
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: %S names pid %d" name msg pid)
+        true
+        (contains msg (Fmt.str "pid %d " pid))
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  rejects "period 0" 0 [ 0, Policy.Every { period = 0; offset = 0 } ];
+  rejects "negative period" 2
+    [ 0, Policy.Weighted 1.0; 2, Policy.Every { period = -3; offset = 0 } ];
+  rejects "inside a Switch_at" 3
+    [
+      0, Policy.Every { period = 2; offset = 0 };
+      ( 3,
+        Policy.Switch_at
+          ( 10,
+            Policy.Silent,
+            Policy.Switch_at
+              (20, Policy.Weighted 1.0, Policy.Every { period = 0; offset = 1 }) ) );
+    ]
 
 let () =
   Alcotest.run "policy"
@@ -588,5 +900,8 @@ let () =
           Alcotest.test_case "schedule golden" `Quick test_schedule_golden;
           Alcotest.test_case "pick allocation" `Quick test_pick_allocation;
           QCheck_alcotest.to_alcotest qcheck_one_pass_matches_three_pass;
+          QCheck_alcotest.to_alcotest qcheck_compiled_matches_one_pass;
+          Alcotest.test_case "bad periods rejected" `Quick
+            test_bad_period_rejected;
         ] );
     ]
